@@ -3,36 +3,54 @@
 Operates on whole runs of blocks at once with numpy.  The per-block
 semantics are defined by the scalar operations in `shamir`; the test
 suite holds the two implementations equal.
+
+A product in field f is one gather, a * b = _MUL[f << 16 | a << 8 | b];
+each field's 256x256 table is built from its exp/log tables when the
+field is first used, since building all 30 would add tens of
+milliseconds to a first small operation.  Interpolation is barycentric
+Lagrange (Berrut and Trefethen, SIAM Review 2004), O(m^2) per block.
+Both transforms work point-major, in slices of _SLICE_WORDS words that
+keep their intp index temporaries (eight bytes per word) a fixed size
+rather than a multiple of the message.
 """
+
+from __future__ import annotations
 
 import numpy as np
 
-from . import gf
-from .shamir import EXTRA_WORDS, FieldPolicy, SchemeParams
+from . import gf, shamir
 
-_EXP2: np.ndarray | None = None  # (30, 510) doubled exp tables, uint8
-_LOG: np.ndarray | None = None  # (30, 256) log tables, uint16; [f, 0] is junk
-
-
-def _field_arrays() -> tuple[np.ndarray, np.ndarray]:
-    global _EXP2, _LOG
-    if _EXP2 is None:
-        fields = gf.canonical_fields()
-        exp2 = np.empty((len(fields), 510), dtype=np.uint8)
-        log = np.zeros((len(fields), 256), dtype=np.uint16)
-        for i, spec in enumerate(fields):
-            e = np.array(gf.tables_for(spec).exp, dtype=np.uint8)
-            exp2[i, :255] = e
-            exp2[i, 255:] = e
-            log[i, e] = np.arange(255, dtype=np.uint16)
-        _EXP2, _LOG = exp2, log
-    return _EXP2, _LOG
+_SLICE_WORDS = 1 << 15
+_FIELDS = gf.count_irreducible(gf.FIELD_DEGREE)
+_MUL = np.zeros(_FIELDS << 16, dtype=np.uint8)
+_INV = np.zeros((_FIELDS, 256), dtype=np.uint8)  # [f, 0] stays 0; [f, 1] is 1 once built
 
 
-def _vmul(exp2, log, f, a, b):
-    # f, a, b broadcast together; zero operands handled by the final mask
-    prod = exp2[f, log[f, a] + log[f, b]]
-    return np.where((a == 0) | (b == 0), 0, prod)
+def _build_tables(f: np.ndarray) -> None:
+    """Build the tables of every field index in f that are not built yet."""
+    for i in np.flatnonzero((np.bincount(f, minlength=_FIELDS) > 0) & (_INV[:, 1] == 0)):
+        t = gf.tables_for(gf.field_by_index(int(i)))
+        exp, log = np.array(t.exp * 2, dtype=np.uint8), np.array(t.log[1:], dtype=np.intp)
+        _MUL[i << 16 : (i + 1) << 16].reshape(256, 256)[1:, 1:] = exp[log[:, None] + log]
+        _INV[i, 1:] = exp[255 - log]  # last, as it marks the field built
+
+
+def _rows(f: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Offsets into _MUL of the rows 'times a' in fields f (broadcast)."""
+    return np.left_shift(a, 8, dtype=np.intp) | (f << 16)
+
+
+def _slices(nblocks: int, width: int):
+    step = max(1, _SLICE_WORDS // width)
+    return (slice(i, i + step) for i in range(0, nblocks, step))
+
+
+def _horner(coeffs: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """sum_k coeffs[k] * x^k at each point x whose row offsets are rows."""
+    acc = np.broadcast_to(coeffs[-1], rows.shape)
+    for k in range(len(coeffs) - 2, -1, -1):
+        acc = _MUL[rows + acc] ^ coeffs[k]
+    return acc
 
 
 def derive_points(point_words: np.ndarray) -> np.ndarray:
@@ -53,9 +71,9 @@ def derive_points(point_words: np.ndarray) -> np.ndarray:
     return x
 
 
-def field_indices(field_words: np.ndarray, policy: FieldPolicy) -> np.ndarray:
+def field_indices(field_words: np.ndarray, policy: shamir.FieldPolicy) -> np.ndarray:
     """(B, 4) words -> (B,) canonical field indices."""
-    if policy == FieldPolicy.FIXED_CANONICAL:
+    if policy == shamir.FieldPolicy.FIXED_CANONICAL:
         return np.zeros(field_words.shape[0], dtype=np.intp)
     w = field_words.astype(np.uint32)
     packed = (w[:, 0] << 24) | (w[:, 1] << 16) | (w[:, 2] << 8) | w[:, 3]
@@ -64,43 +82,47 @@ def field_indices(field_words: np.ndarray, policy: FieldPolicy) -> np.ndarray:
 
 def eval_blocks(coeffs: np.ndarray, points: np.ndarray, f: np.ndarray) -> np.ndarray:
     """Horner evaluation: (B, m) coeffs at (B, n) points -> (B, n) words."""
-    exp2, log = _field_arrays()
-    m = coeffs.shape[1]
-    fcol = f[:, None]
-    acc = np.broadcast_to(coeffs[:, m - 1][:, None], points.shape).copy()
-    for k in range(m - 2, -1, -1):
-        acc = _vmul(exp2, log, fcol, acc, points) ^ coeffs[:, k][:, None]
-    return acc
+    _build_tables(f)
+    out = np.empty(points.shape[::-1], dtype=np.uint8)
+    for s in _slices(len(points), points.shape[1]):
+        out[:, s] = _horner(coeffs[s].T.copy(), _rows(f[s], points[s].T.copy()))
+    return out.T
 
 
 def interpolate_blocks(points: np.ndarray, values: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Per-block Vandermonde solve: (B, m) points and values -> (B, m) coeffs.
+    """Barycentric Lagrange: (B, m) points and values -> (B, m) coeffs.
 
     Points within a row must be distinct and nonzero (guaranteed by
-    derive_points), which keeps every pivot nonzero without row swaps.
+    derive_points).  With the master polynomial P(z) = prod_j (z + x_j)
+    and q_i(z) = P(z) / (z + x_i), the coefficients are
+    sum_i y_i * w_i * q_i(z), where w_i = 1 / prod_{j != i} (x_i + x_j).
     """
-    exp2, log = _field_arrays()
+    _build_tables(f)
     nblocks, m = points.shape
-    fcol = f[:, None]
-    aug = np.empty((nblocks, m, m + 1), dtype=np.uint8)
-    aug[:, :, 0] = 1
-    for j in range(1, m):
-        aug[:, :, j] = _vmul(exp2, log, fcol, aug[:, :, j - 1], points)
-    aug[:, :, m] = values
-    for k in range(m):
-        piv = aug[:, k, k]
-        inv = exp2[f, 255 - log[f, piv]]
-        aug[:, k, k:] = _vmul(exp2, log, fcol, aug[:, k, k:], inv[:, None])
-        for r in range(m):
-            if r == k:
-                continue
-            fac = aug[:, r, k]
-            aug[:, r, k:] ^= _vmul(exp2, log, fcol, aug[:, k, k:], fac[:, None])
-    return aug[:, :, m].copy()
+    out = np.empty((m, nblocks), dtype=np.uint8)
+    for s in _slices(nblocks, m):
+        fs, x = f[s], points[s].T.copy()
+        xrows = _rows(fs, x)
+        # P low degree first; degree j fills the top j + 1 rows, so z * P moves nothing
+        master = np.zeros((m + 1, len(fs)), dtype=np.uint8)
+        master[m] = 1
+        for j in range(m):
+            master[m - j - 1 : m] ^= _MUL[xrows[j] + master[m - j :]]
+        # prod_{j != i} (x_i + x_j) is P'(x_i); in characteristic 2 the
+        # derivative keeps the odd terms of P, a polynomial in z^2
+        slope = _horner(master[1::2], _rows(fs, _MUL[xrows + x]))
+        ywrows = _rows(fs, _MUL[_rows(fs, values[s].T) + _INV[fs, slope]])
+        # synthetic division by every (z + x_i) at once, top coefficient
+        # first: q_i[k-1] = P[k] + x_i * q_i[k], starting from q_i[m] = 0
+        q = np.zeros_like(x)
+        for k in range(m, 0, -1):
+            q = _MUL[xrows + q] ^ master[k]
+            out[k - 1, s] = np.bitwise_xor.reduce(_MUL[ywrows + q], axis=0)
+    return out.T
 
 
 def _randomness(
-    params: SchemeParams, main_ks: bytes, aux_ks: bytes | None
+    params: shamir.SchemeParams, main_ks: bytes, aux_ks: bytes | None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Split raw keystream bytes into (mask, point, field) word arrays."""
     n, m = params.n, params.m
@@ -108,12 +130,12 @@ def _randomness(
         arr = np.frombuffer(main_ks, dtype=np.uint8).reshape(-1, params.words_per_block)
         return arr[:, :m], arr[:, m : m + n], arr[:, m + n :]
     mask = np.frombuffer(main_ks, dtype=np.uint8).reshape(-1, m)
-    aux = np.frombuffer(aux_ks, dtype=np.uint8).reshape(-1, n + EXTRA_WORDS)
+    aux = np.frombuffer(aux_ks, dtype=np.uint8).reshape(-1, n + shamir.EXTRA_WORDS)
     return mask, aux[:, :n], aux[:, n:]
 
 
 def split_payloads(
-    padded: bytes, params: SchemeParams, main_ks: bytes, aux_ks: bytes | None
+    padded: bytes, params: shamir.SchemeParams, main_ks: bytes, aux_ks: bytes | None
 ) -> list[bytes]:
     """Transform padded plaintext into n per-share payload columns."""
     m = params.m
@@ -129,7 +151,7 @@ def split_payloads(
 def recover_padded(
     payloads: list[bytes],
     indices: list[int],
-    params: SchemeParams,
+    params: shamir.SchemeParams,
     main_ks: bytes,
     aux_ks: bytes | None,
 ) -> bytes:

@@ -203,13 +203,6 @@ class FieldTables:
             return 0
         return self.exp[(self.log[a] + self.log[b]) % 255]
 
-    def div(self, a: int, b: int) -> int:
-        if b == 0:
-            raise ZeroDivisionError("division by zero")
-        if a == 0:
-            return 0
-        return self.exp[(self.log[a] - self.log[b]) % 255]
-
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("0 has no multiplicative inverse")

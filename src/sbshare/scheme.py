@@ -131,6 +131,8 @@ def _validate_set(shares: list[Share]) -> list[Share]:
             raise ShareSetError("shares disagree on key share length")
     if len(first.key_share) != SEED_LEN * _seed_count(params):
         raise ShareSetError("key share length does not match parameters")
+    if not first.payload:
+        raise ShareSetError("shares carry no payload blocks")
     indices = [s.share_index for s in shares]
     if len(set(indices)) != len(indices):
         raise ShareSetError("duplicate share indices")
@@ -141,24 +143,23 @@ def _validate_set(shares: list[Share]) -> list[Share]:
     return sorted(shares, key=lambda s: s.share_index)[: params.m]
 
 
-def _recover_key_material(chosen: list[Share], params: SchemeParams) -> bytes:
-    return recover_key([(s.share_index, s.key_share) for s in chosen], params.m)
-
-
 def recover_range(shares: list[Share], block_start: int, block_count: int) -> bytes:
     """Recover block_count blocks of padded plaintext starting at block_start.
 
     Returns raw block bytes; padding is not stripped, so the caller sees
     exactly block_count * m bytes regardless of where the range falls.
     """
-    chosen = _validate_set(shares)
+    return _recover_blocks(_validate_set(shares), block_start, block_count)
+
+
+def _recover_blocks(chosen: list[Share], block_start: int, block_count: int) -> bytes:
     params = chosen[0].params
     total = chosen[0].block_count
     if block_start < 0 or block_count < 0 or block_start + block_count > total:
         raise ValueError("block range outside the share payload")
     if block_count == 0:
         return b""
-    key_material = _recover_key_material(chosen, params)
+    key_material = recover_key([(s.share_index, s.key_share) for s in chosen], params.m)
     main, aux = _open_streams(params, key_material, chosen[0].rrsg_algorithm)
     main_ks, aux_ks = _read_randomness(params, main, aux, block_start, block_count)
     payloads = [s.payload[block_start : block_start + block_count] for s in chosen]
@@ -169,6 +170,5 @@ def recover_range(shares: list[Share], block_start: int, block_count: int) -> by
 def combine(shares: list[Share]) -> bytes:
     """Recover the original message from any m or more consistent shares."""
     chosen = _validate_set(shares)
-    params = chosen[0].params
-    padded = recover_range(shares, 0, chosen[0].block_count)
-    return unpad(padded, params.m)
+    padded = _recover_blocks(chosen, 0, chosen[0].block_count)
+    return unpad(padded, chosen[0].params.m)

@@ -1,10 +1,10 @@
 """Block-level share mathematics.
 
-Two layers live here: classic per-byte Shamir splitting for key
-material, and the packed block transform used for bulk data - masking
-data words with keystream words, deriving distinct evaluation points,
-selecting the working field, and evaluating/interpolating the block
-polynomial whose coefficients all carry data.
+Two layers live here: classic Shamir splitting of key material, run by
+the vectorized engine, and the scalar block transform used for bulk
+data - masking words with keystream words, deriving distinct evaluation
+points, selecting the working field, and evaluating/interpolating the
+block polynomial whose coefficients all carry data.
 
 Everything operates on words (bytes).  All functions are pure.
 """
@@ -14,6 +14,9 @@ from dataclasses import dataclass
 from enum import IntEnum
 from typing import NamedTuple, Sequence
 
+import numpy as np
+
+from . import _engine
 from .gf import FieldSpec, field_by_index, field_count, tables_for
 
 #: Words drawn per block beyond the data mask: one evaluation point word
@@ -171,9 +174,6 @@ def interpolate_block(
     return bytes(row[m] for row in aug)
 
 
-_KEY_FIELD_INDEX = 0  # key splitting always uses the canonical field
-
-
 def split_key(key: bytes, n: int, m: int) -> list[bytes]:
     """Split key material into n classic Shamir shares of equal length.
 
@@ -183,22 +183,18 @@ def split_key(key: bytes, n: int, m: int) -> list[bytes]:
     """
     if not 1 <= m <= n <= 255:
         raise ValueError(f"invalid parameters n={n}, m={m}")
-    field = field_by_index(_KEY_FIELD_INDEX)
-    xs = tuple(range(1, n + 1))
     entropy = secrets.token_bytes(len(key) * (m - 1))
-    shares = [bytearray(len(key)) for _ in range(n)]
-    for i, byte in enumerate(key):
-        coeffs = bytes([byte]) + entropy[i * (m - 1) : (i + 1) * (m - 1)]
-        ys = eval_block(coeffs, xs, field)
-        for j in range(n):
-            shares[j][i] = ys[j]
-    return [bytes(s) for s in shares]
+    rest = np.frombuffer(entropy, dtype=np.uint8).reshape(len(key), m - 1)
+    coeffs = np.column_stack((np.frombuffer(key, dtype=np.uint8), rest))
+    xs = np.broadcast_to(np.arange(1, n + 1, dtype=np.uint8), (len(key), n))
+    ys = _engine.eval_blocks(coeffs, xs, np.zeros(len(key), dtype=np.intp))
+    return [ys[:, j].tobytes() for j in range(n)]
 
 
 def recover_key(shares: Sequence[tuple[int, bytes]], m: int) -> bytes:
     """Rebuild key material from m (share_index, key_share) pairs.
 
-    Lagrange interpolation at x = 0 per byte over the canonical field;
+    Interpolation over the canonical field, read at coefficient 0;
     share_index j corresponds to evaluation point j+1.
     """
     shares = list(shares)
@@ -207,24 +203,12 @@ def recover_key(shares: Sequence[tuple[int, bytes]], m: int) -> bytes:
     indices = [idx for idx, _ in shares]
     if len(set(indices)) != len(indices):
         raise ValueError("duplicate share indices")
+    if not all(0 <= idx < 255 for idx in indices):
+        raise ValueError("share index out of range 0..254")
     chosen = shares[:m]
     length = len(chosen[0][1])
     if any(len(data) != length for _, data in chosen):
         raise ValueError("key shares have inconsistent lengths")
-    t = tables_for(field_by_index(_KEY_FIELD_INDEX))
-    xs = [idx + 1 for idx, _ in chosen]
-    # Lagrange weights at x = 0: w_i = prod_{j != i} x_j / (x_j + x_i)
-    weights = []
-    for i, xi in enumerate(xs):
-        w = 1
-        for j, xj in enumerate(xs):
-            if j != i:
-                w = t.mul(w, t.div(xj, xj ^ xi))
-        weights.append(w)
-    out = bytearray(length)
-    for pos in range(length):
-        acc = 0
-        for (_, data), w in zip(chosen, weights):
-            acc ^= t.mul(w, data[pos])
-        out[pos] = acc
-    return bytes(out)
+    xs = np.broadcast_to(np.array(indices[:m], dtype=np.uint8) + 1, (length, m))
+    ys = np.frombuffer(b"".join(data for _, data in chosen), dtype=np.uint8).reshape(m, length).T
+    return _engine.interpolate_blocks(xs, ys, np.zeros(length, dtype=np.intp))[:, 0].tobytes()

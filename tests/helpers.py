@@ -19,7 +19,6 @@ from sbshare.shamir import (
     eval_block,
     interpolate_block,
     mask_words,
-    recover_key,
     select_field,
 )
 
@@ -81,9 +80,15 @@ def open_streams(key_material: bytes, algorithm: Algorithm, dual_seed: bool):
 
 
 def recovered_key_material(shares: list[Share]) -> bytes:
+    """Key material rebuilt byte by byte with the scalar interpolation."""
     m = shares[0].params.m
     chosen = sorted(shares, key=lambda s: s.share_index)[:m]
-    return recover_key([(s.share_index, s.key_share) for s in chosen], m)
+    xs = tuple(s.share_index + 1 for s in chosen)
+    field = gf.field_by_index(0)
+    return bytes(
+        interpolate_block(xs, bytes(s.key_share[i] for s in chosen), field)[0]
+        for i in range(len(chosen[0].key_share))
+    )
 
 
 def _block_randomness(params: SchemeParams, main, aux):

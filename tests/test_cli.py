@@ -1,10 +1,11 @@
 """Command-line interface tests driven through main()."""
 
+import dataclasses
 import secrets
 
 import pytest
 
-from sbshare import combine, decode_share
+from sbshare import combine, decode_share, encode_share
 from sbshare.cli import (
     EXIT_IO,
     EXIT_OK,
@@ -96,6 +97,17 @@ class TestCombine:
         out_file = tmp_path / "restored.bin"
         assert main(["combine", *map(str, paths[:2]), "-o", str(out_file)]) == EXIT_SHARES
         assert "shares" in capsys.readouterr().err
+
+    def test_empty_payloads_exit_4(self, workspace, tmp_path, capsys):
+        # split never writes these: every message pads to at least one block
+        paths = split_fixture(workspace)[:3]
+        for path in paths:
+            share = decode_share(path.read_bytes())
+            path.write_bytes(encode_share(dataclasses.replace(share, payload=b"")))
+        out_file = tmp_path / "restored.bin"
+        assert main(["combine", *map(str, paths), "-o", str(out_file)]) == EXIT_SHARES
+        assert "payload" in capsys.readouterr().err
+        assert not out_file.exists()
 
     def test_mixed_splits_exit_4_or_5(self, workspace, tmp_path, capsys):
         tmp_path_ws, source = workspace

@@ -139,6 +139,21 @@ class TestReferencePipeline:
         assert helpers.reference_padded(subset) == pad(message, params.m)
         assert combine(subset) == message
 
+    @pytest.mark.parametrize("n,m", [(1, 1), (2, 1), (6, 6), (9, 4), (32, 16), (40, 2)])
+    @pytest.mark.parametrize("algorithm,policy,dual", ALL_MODES)
+    def test_combine_and_range_match_scalar_reference(self, algorithm, policy, dual, n, m):
+        params = SchemeParams(n=n, m=m, field_policy=policy, dual_seed=dual)
+        message = secrets.token_bytes(97)
+        shares = split(message, params, algorithm=algorithm)
+        subset = secrets.SystemRandom().sample(shares, m)
+        expected = helpers.reference_padded(subset)
+        assert expected == pad(message, m)
+        assert combine(subset) == message
+        nblocks = len(expected) // m
+        for start, count in ((0, nblocks), (nblocks - 1, 1), (nblocks // 3, nblocks // 2)):
+            got = recover_range(subset, start, count)
+            assert got == expected[start * m : (start + count) * m]
+
     def test_wide_parameter_sample(self):
         for n, m in ((1, 1), (2, 1), (6, 6), (9, 4), (40, 2)):
             params = SchemeParams(n=n, m=m)

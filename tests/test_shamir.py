@@ -209,6 +209,31 @@ class TestKeySplit:
                 for subset in itertools.combinations(enumerate(shares), m):
                     assert recover_key(list(subset), m) == key
 
+    @pytest.mark.parametrize("m", [1, 2, 128, 255])
+    def test_round_trip_n_255(self, m):
+        key = secrets.token_bytes(44)
+        pairs = list(enumerate(split_key(key, 255, m)))
+        secrets.SystemRandom().shuffle(pairs)
+        assert recover_key(pairs[:m], m) == key
+
+    def test_matches_scalar_evaluation(self, monkeypatch):
+        entropy = secrets.token_bytes(88 * 15)
+        monkeypatch.setattr("sbshare.shamir.secrets.token_bytes", lambda k: entropy[:k])
+        key = secrets.token_bytes(88)
+        shares = split_key(key, 32, 16)
+        field = gf.field_by_index(0)
+        for i, byte in enumerate(key):
+            coeffs = bytes([byte]) + entropy[i * 15 : (i + 1) * 15]
+            ys = eval_block(coeffs, range(1, 33), field)
+            assert bytes(share[i] for share in shares) == ys
+
+    def test_index_out_of_range(self):
+        shares = split_key(b"\x01\x02", 3, 2)
+        with pytest.raises(ValueError):
+            recover_key([(0, shares[0]), (255, shares[1])], 2)
+        with pytest.raises(ValueError):
+            recover_key([(-1, shares[0]), (1, shares[1])], 2)
+
     def test_extra_shares_ignored_beyond_m(self):
         key = secrets.token_bytes(8)
         shares = split_key(key, 5, 2)
