@@ -1,8 +1,10 @@
 """Vectorized block transforms used by the split and recovery pipelines.
 
-Operates on whole runs of blocks at once with numpy.  The per-block
-semantics are defined by the scalar operations in `shamir`; the test
-suite holds the two implementations equal.
+Operates on whole runs of blocks at once with numpy; this is the only
+implementation of the block transform in the library.  Its per-block
+semantics are defined by the scalar oracle in tests/helpers.py, and the
+test suite holds the two equal.  keystream_blocks is the one place that
+knows how a block's keystream words are laid out and at what stride.
 
 A product in field f is one gather, a * b = _MUL[f << 16 | a << 8 | b];
 each field's 256x256 table is built from its exp/log tables when the
@@ -19,6 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import gf, shamir
+from .rrsg import RrsgStream
 
 _SLICE_WORDS = 1 << 15
 _FIELDS = gf.count_irreducible(gf.FIELD_DEGREE)
@@ -54,7 +57,12 @@ def _horner(coeffs: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 
 def derive_points(point_words: np.ndarray) -> np.ndarray:
-    """Row-wise derive_eval_points: (B, n) words -> (B, n) distinct points."""
+    """(B, n) words -> (B, n) points, distinct and nonzero within each row.
+
+    Point i is 1 + (word_i mod 255), probed upward (255 wraps to 1)
+    past the points already taken in its row; the probe reads no more
+    words, so every block consumes the same number.
+    """
     nblocks, n = point_words.shape
     if n > 255:
         raise ValueError("cannot derive more than 255 distinct nonzero points")
@@ -121,30 +129,44 @@ def interpolate_blocks(points: np.ndarray, values: np.ndarray, f: np.ndarray) ->
     return out.T
 
 
-def _randomness(
-    params: shamir.SchemeParams, main_ks: bytes, aux_ks: bytes | None
+def _read_rows(stream: RrsgStream, block_start: int, nblocks: int, width: int) -> np.ndarray:
+    """Blocks block_start.. of a stream that holds width words per block."""
+    stream.seek(block_start * width)
+    return np.frombuffer(stream.read(nblocks * width), dtype=np.uint8).reshape(nblocks, width)
+
+
+def keystream_blocks(
+    params: shamir.SchemeParams,
+    main: RrsgStream,
+    aux: RrsgStream | None,
+    block_start: int,
+    nblocks: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Split raw keystream bytes into (mask, point, field) word arrays."""
+    """Masks (B, m), points (B, n) and field indices (B,) of a block run.
+
+    A block's words are its m mask words, then n point words, then
+    EXTRA_WORDS field words.  With one seed all of them come from main,
+    words_per_block per block; with two, main holds only the masks and
+    aux the point and field words.  The masks are views of the read
+    keystream, not copies.
+    """
     n, m = params.n, params.m
-    if aux_ks is None:
-        arr = np.frombuffer(main_ks, dtype=np.uint8).reshape(-1, params.words_per_block)
-        return arr[:, :m], arr[:, m : m + n], arr[:, m + n :]
-    mask = np.frombuffer(main_ks, dtype=np.uint8).reshape(-1, m)
-    aux = np.frombuffer(aux_ks, dtype=np.uint8).reshape(-1, n + shamir.EXTRA_WORDS)
-    return mask, aux[:, :n], aux[:, n:]
+    if aux is None:
+        words = _read_rows(main, block_start, nblocks, params.words_per_block)
+        mask, rest = words[:, :m], words[:, m:]
+    else:
+        mask = _read_rows(main, block_start, nblocks, m)
+        rest = _read_rows(aux, block_start, nblocks, n + shamir.EXTRA_WORDS)
+    return mask, derive_points(rest[:, :n]), field_indices(rest[:, n:], params.field_policy)
 
 
 def split_payloads(
-    padded: bytes, params: shamir.SchemeParams, main_ks: bytes, aux_ks: bytes | None
+    padded: bytes, params: shamir.SchemeParams, main: RrsgStream, aux: RrsgStream | None
 ) -> list[bytes]:
     """Transform padded plaintext into n per-share payload columns."""
-    m = params.m
-    data = np.frombuffer(padded, dtype=np.uint8).reshape(-1, m)
-    mask, pw, fw = _randomness(params, main_ks, aux_ks)
-    coeffs = data ^ mask
-    x = derive_points(pw)
-    f = field_indices(fw, params.field_policy)
-    y = eval_blocks(coeffs, x, f)
+    data = np.frombuffer(padded, dtype=np.uint8).reshape(-1, params.m)
+    mask, x, f = keystream_blocks(params, main, aux, 0, len(data))
+    y = eval_blocks(data ^ mask, x, f)
     return [y[:, i].tobytes() for i in range(params.n)]
 
 
@@ -152,14 +174,15 @@ def recover_padded(
     payloads: list[bytes],
     indices: list[int],
     params: shamir.SchemeParams,
-    main_ks: bytes,
-    aux_ks: bytes | None,
+    main: RrsgStream,
+    aux: RrsgStream | None,
+    block_start: int,
 ) -> bytes:
-    """Invert split_payloads for m payload columns with the given share indices."""
-    mask, pw, fw = _randomness(params, main_ks, aux_ks)
-    x = derive_points(pw)
-    f = field_indices(fw, params.field_policy)
-    xs = x[:, indices]
+    """Invert split_payloads for m payload columns from block_start on.
+
+    indices are the share indices of the columns, in the same order.
+    """
+    mask, x, f = keystream_blocks(params, main, aux, block_start, len(payloads[0]))
     ys = np.stack([np.frombuffer(p, dtype=np.uint8) for p in payloads], axis=1)
-    coeffs = interpolate_blocks(xs, ys, f)
+    coeffs = interpolate_blocks(x[:, indices], ys, f)
     return (coeffs ^ mask).tobytes()

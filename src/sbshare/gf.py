@@ -77,11 +77,8 @@ class FieldSpec:
     """One GF(2^8) representation, identified by its reduction polynomial."""
 
     reduction_poly: int
-    degree: int = FIELD_DEGREE
 
     def __post_init__(self):
-        if self.degree != FIELD_DEGREE:
-            raise ValueError("only degree-8 fields are supported")
         if not 0x101 <= self.reduction_poly <= 0x1FF:
             raise ValueError(
                 f"reduction polynomial 0x{self.reduction_poly:X} out of range"
@@ -129,16 +126,6 @@ def field_by_index(index: int) -> FieldSpec:
     return fields[index]
 
 
-def field_index(field: FieldSpec) -> int:
-    """Canonical index of a field."""
-    return canonical_fields().index(field)
-
-
-def gf_add(a: int, b: int) -> int:
-    """Addition (and subtraction): bitwise XOR."""
-    return a ^ b
-
-
 def gf_mul(field: FieldSpec, a: int, b: int) -> int:
     """Shift-and-reduce product of a and b modulo the reduction polynomial."""
     poly = field.reduction_poly
@@ -164,14 +151,6 @@ def gf_pow(field: FieldSpec, a: int, e: int) -> int:
         a = gf_mul(field, a, a)
         e >>= 1
     return acc
-
-
-def gf_inv(field: FieldSpec, a: int) -> int:
-    """Multiplicative inverse; zero has none."""
-    if a == 0:
-        raise ZeroDivisionError("0 has no multiplicative inverse")
-    # a^(2^8 - 2) = a^-1 in a field of 256 elements
-    return gf_pow(field, a, 254)
 
 
 # The multiplicative group has 255 elements; its proper maximal subgroups

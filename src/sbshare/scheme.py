@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from . import _engine
 from .rrsg import SEED_LEN, Algorithm, RrsgStream, Seed, new_stream
-from .shamir import EXTRA_WORDS, SchemeParams, recover_key, split_key
+from .shamir import SchemeParams, recover_key, split_key
 
 
 class PaddingError(ValueError):
@@ -75,22 +75,6 @@ def _open_streams(
     return main, aux
 
 
-def _read_randomness(
-    params: SchemeParams,
-    main: RrsgStream,
-    aux: RrsgStream | None,
-    block_start: int,
-    nblocks: int,
-) -> tuple[bytes, bytes | None]:
-    n, m = params.n, params.m
-    if aux is None:
-        main.seek(block_start * params.words_per_block)
-        return main.read(nblocks * params.words_per_block), None
-    main.seek(block_start * m)
-    aux.seek(block_start * (n + EXTRA_WORDS))
-    return main.read(nblocks * m), aux.read(nblocks * (n + EXTRA_WORDS))
-
-
 def split(
     message: bytes,
     params: SchemeParams,
@@ -103,11 +87,8 @@ def split(
     key_material = b"".join(s.to_bytes() for s in seeds)
     key_shares = split_key(key_material, params.n, params.m)
 
-    padded = pad(message, params.m)
-    nblocks = len(padded) // params.m
     main, aux = _open_streams(params, key_material, algorithm)
-    main_ks, aux_ks = _read_randomness(params, main, aux, 0, nblocks)
-    payloads = _engine.split_payloads(padded, params, main_ks, aux_ks)
+    payloads = _engine.split_payloads(pad(message, params.m), params, main, aux)
     return [
         Share(params, i, algorithm, key_shares[i], payloads[i])
         for i in range(params.n)
@@ -161,10 +142,9 @@ def _recover_blocks(chosen: list[Share], block_start: int, block_count: int) -> 
         return b""
     key_material = recover_key([(s.share_index, s.key_share) for s in chosen], params.m)
     main, aux = _open_streams(params, key_material, chosen[0].rrsg_algorithm)
-    main_ks, aux_ks = _read_randomness(params, main, aux, block_start, block_count)
     payloads = [s.payload[block_start : block_start + block_count] for s in chosen]
     indices = [s.share_index for s in chosen]
-    return _engine.recover_padded(payloads, indices, params, main_ks, aux_ks)
+    return _engine.recover_padded(payloads, indices, params, main, aux, block_start)
 
 
 def combine(shares: list[Share]) -> bytes:

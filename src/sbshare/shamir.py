@@ -1,26 +1,27 @@
-"""Block-level share mathematics.
+"""Scheme parameters and classic Shamir sharing of key material.
 
-Two layers live here: classic Shamir splitting of key material, run by
-the vectorized engine, and the scalar block transform used for bulk
-data - masking words with keystream words, deriving distinct evaluation
-points, selecting the working field, and evaluating/interpolating the
-block polynomial whose coefficients all carry data.
+SchemeParams fixes a split: n shares, threshold m, how each block's
+working field is chosen, and whether one seed or two drive the
+keystream.  Each block consumes m + n + EXTRA_WORDS keystream words;
+_engine.keystream_blocks lays them out, and the per-block transform
+they drive lives in _engine.
 
-Everything operates on words (bytes).  All functions are pure.
+split_key and recover_key share the keystream seeds themselves with
+classic per-byte Shamir over the canonical field, run by the same
+vectorized engine.
 """
 
 import secrets
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import _engine
-from .gf import FieldSpec, field_by_index, field_count, tables_for
 
-#: Words drawn per block beyond the data mask: one evaluation point word
-#: per share plus four field-selection words.
+#: Field-selection words drawn per block, after its m mask words and
+#: n point words.
 EXTRA_WORDS = 4
 
 
@@ -33,17 +34,15 @@ class FieldPolicy(IntEnum):
 
 @dataclass(frozen=True)
 class SchemeParams:
-    """Split parameters: n shares, threshold m, word size fixed at 8 bits."""
+    """Split parameters: n shares, threshold m, over 8-bit words."""
 
     n: int
     m: int
     field_policy: FieldPolicy = FieldPolicy.RANDOM_PER_BLOCK
     dual_seed: bool = False
-    word_bits: int = 8
 
     def __post_init__(self):
-        if self.word_bits != 8:
-            raise ValueError("only 8-bit words are supported")
+        object.__setattr__(self, "field_policy", FieldPolicy(self.field_policy))
         if not 1 <= self.m <= self.n <= 255:
             # n distinct nonzero evaluation points must exist in GF(2^8)
             raise ValueError(
@@ -53,125 +52,6 @@ class SchemeParams:
     @property
     def words_per_block(self) -> int:
         return self.m + self.n + EXTRA_WORDS
-
-
-class BlockRandomness(NamedTuple):
-    """The fixed-size randomness slice consumed for one block."""
-
-    mask_words: bytes
-    point_words: bytes
-    field_words: bytes
-
-    @classmethod
-    def from_words(cls, words: bytes, m: int, n: int) -> "BlockRandomness":
-        if len(words) != m + n + EXTRA_WORDS:
-            raise ValueError(f"expected {m + n + EXTRA_WORDS} words, got {len(words)}")
-        return cls(words[:m], words[m : m + n], words[m + n :])
-
-
-class InterpolationError(ValueError):
-    """Raised when an interpolation system is singular (duplicate points)."""
-
-
-def mask_words(data: bytes, mask: bytes) -> bytes:
-    """Element-wise XOR; applying the same mask twice restores the input."""
-    if len(data) != len(mask):
-        raise ValueError("data and mask lengths differ")
-    return bytes(d ^ r for d, r in zip(data, mask))
-
-
-def derive_eval_points(point_words: bytes) -> tuple[int, ...]:
-    """Map n keystream words to n distinct evaluation points in 1..255.
-
-    Candidate i is 1 + (word_i mod 255); a candidate that collides with
-    an already-assigned point is probed upward (wrapping 255 -> 1) until
-    it lands on a free value.  The probe consumes no extra randomness, so
-    block consumption stays at a fixed stride and streams stay seekable.
-    """
-    n = len(point_words)
-    if n > 255:
-        raise ValueError("cannot derive more than 255 distinct nonzero points")
-    taken: set[int] = set()
-    points = []
-    for w in point_words:
-        x = 1 + (w % 255)
-        while x in taken:
-            x = 1 + (x % 255)
-        taken.add(x)
-        points.append(x)
-    return tuple(points)
-
-
-def select_field(field_words: bytes, policy: FieldPolicy) -> FieldSpec:
-    """Pick the block's working field from four keystream words.
-
-    The words form a big-endian 32-bit integer taken modulo the number of
-    fields.  Under FIXED_CANONICAL the words are still consumed (keeping
-    the stream aligned) but index 0 is returned regardless.
-    """
-    if len(field_words) != EXTRA_WORDS:
-        raise ValueError(f"expected {EXTRA_WORDS} field words")
-    if policy == FieldPolicy.FIXED_CANONICAL:
-        return field_by_index(0)
-    index = int.from_bytes(field_words, "big") % field_count()
-    return field_by_index(index)
-
-
-def eval_block(coeffs: bytes | Sequence[int], points: Sequence[int], field: FieldSpec) -> bytes:
-    """Evaluate the polynomial sum(coeffs[i] * x^i) at each point, by Horner."""
-    if len(coeffs) == 0:
-        raise ValueError("empty coefficient vector")
-    if any(x == 0 for x in points):
-        raise ValueError("evaluation points must be nonzero")
-    t = tables_for(field)
-    out = bytearray(len(points))
-    for j, x in enumerate(points):
-        acc = coeffs[-1]
-        for k in range(len(coeffs) - 2, -1, -1):
-            acc = t.mul(acc, x) ^ coeffs[k]
-        out[j] = acc
-    return bytes(out)
-
-
-def interpolate_block(
-    points: Sequence[int], values: bytes | Sequence[int], field: FieldSpec
-) -> bytes:
-    """Coefficients of the unique degree-(m-1) polynomial through m points.
-
-    Solves the Vandermonde system by Gauss-Jordan elimination; the whole
-    coefficient vector is recovered because every coefficient carries
-    data, not just the constant term.
-    """
-    m = len(points)
-    if m == 0 or len(values) != m:
-        raise ValueError("need equally many points and values, at least one")
-    if any(x == 0 for x in points):
-        raise InterpolationError("evaluation points must be nonzero")
-    if len(set(points)) != m:
-        raise InterpolationError("duplicate evaluation points make the system singular")
-    t = tables_for(field)
-    # rows: [x^0, x^1, .., x^(m-1) | y]
-    aug = []
-    for x, y in zip(points, values):
-        row = [1] * m + [y]
-        for j in range(1, m):
-            row[j] = t.mul(row[j - 1], x)
-        aug.append(row)
-    for k in range(m):
-        if aug[k][k] == 0:
-            for r in range(k + 1, m):
-                if aug[r][k]:
-                    aug[k], aug[r] = aug[r], aug[k]
-                    break
-            else:
-                raise InterpolationError("singular interpolation system")
-        inv = t.inv(aug[k][k])
-        aug[k] = [t.mul(v, inv) for v in aug[k]]
-        for r in range(m):
-            if r != k and aug[r][k]:
-                f = aug[r][k]
-                aug[r] = [v ^ t.mul(w, f) for v, w in zip(aug[r], aug[k])]
-    return bytes(row[m] for row in aug)
 
 
 def split_key(key: bytes, n: int, m: int) -> list[bytes]:

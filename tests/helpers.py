@@ -1,26 +1,143 @@
 """Shared test utilities.
 
-Holds the slow scalar reference pipelines that the vectorized engine
-must match, independent arithmetic oracles, and the brute-force
-consistency counters used by the secrecy checks.
+Holds the scalar block oracle - one block at a time, in plain Python,
+the specification that the library's vectorized engine must match -
+the reference pipelines built from it, independent arithmetic oracles,
+and the brute-force consistency counters used by the secrecy checks.
+The oracle uses only gf's exp/log tables and solves by Gauss-Jordan
+elimination, so it shares no code or algorithm with sbshare._engine.
 """
 
 from functools import lru_cache
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from sbshare import gf
+from sbshare.gf import FieldSpec, field_by_index, field_count, tables_for
 from sbshare.rrsg import SEED_LEN, Algorithm, Seed, new_stream
 from sbshare.scheme import Share
-from sbshare.shamir import (
-    EXTRA_WORDS,
-    SchemeParams,
-    derive_eval_points,
-    eval_block,
-    interpolate_block,
-    mask_words,
-    select_field,
-)
+from sbshare.shamir import EXTRA_WORDS, FieldPolicy, SchemeParams
+
+
+class BlockRandomness(NamedTuple):
+    """The fixed-size randomness slice consumed for one block."""
+
+    mask_words: bytes
+    point_words: bytes
+    field_words: bytes
+
+    @classmethod
+    def from_words(cls, words: bytes, m: int, n: int) -> "BlockRandomness":
+        if len(words) != m + n + EXTRA_WORDS:
+            raise ValueError(f"expected {m + n + EXTRA_WORDS} words, got {len(words)}")
+        return cls(words[:m], words[m : m + n], words[m + n :])
+
+
+class InterpolationError(ValueError):
+    """Raised when an interpolation system is singular (duplicate points)."""
+
+
+def mask_words(data: bytes, mask: bytes) -> bytes:
+    """Element-wise XOR; applying the same mask twice restores the input."""
+    if len(data) != len(mask):
+        raise ValueError("data and mask lengths differ")
+    return bytes(d ^ r for d, r in zip(data, mask))
+
+
+def derive_eval_points(point_words: bytes) -> tuple[int, ...]:
+    """Map n keystream words to n distinct evaluation points in 1..255.
+
+    Candidate i is 1 + (word_i mod 255); a candidate that collides with
+    an already-assigned point is probed upward (wrapping 255 -> 1) until
+    it lands on a free value.  The probe consumes no extra randomness, so
+    block consumption stays at a fixed stride and streams stay seekable.
+    """
+    n = len(point_words)
+    if n > 255:
+        raise ValueError("cannot derive more than 255 distinct nonzero points")
+    taken: set[int] = set()
+    points = []
+    for w in point_words:
+        x = 1 + (w % 255)
+        while x in taken:
+            x = 1 + (x % 255)
+        taken.add(x)
+        points.append(x)
+    return tuple(points)
+
+
+def select_field(field_words: bytes, policy: FieldPolicy) -> FieldSpec:
+    """Pick the block's working field from four keystream words.
+
+    The words form a big-endian 32-bit integer taken modulo the number of
+    fields.  Under FIXED_CANONICAL the words are still consumed (keeping
+    the stream aligned) but index 0 is returned regardless.
+    """
+    if len(field_words) != EXTRA_WORDS:
+        raise ValueError(f"expected {EXTRA_WORDS} field words")
+    if policy == FieldPolicy.FIXED_CANONICAL:
+        return field_by_index(0)
+    index = int.from_bytes(field_words, "big") % field_count()
+    return field_by_index(index)
+
+
+def eval_block(coeffs: bytes | Sequence[int], points: Sequence[int], field: FieldSpec) -> bytes:
+    """Evaluate the polynomial sum(coeffs[i] * x^i) at each point, by Horner."""
+    if len(coeffs) == 0:
+        raise ValueError("empty coefficient vector")
+    if any(x == 0 for x in points):
+        raise ValueError("evaluation points must be nonzero")
+    t = tables_for(field)
+    out = bytearray(len(points))
+    for j, x in enumerate(points):
+        acc = coeffs[-1]
+        for k in range(len(coeffs) - 2, -1, -1):
+            acc = t.mul(acc, x) ^ coeffs[k]
+        out[j] = acc
+    return bytes(out)
+
+
+def interpolate_block(
+    points: Sequence[int], values: bytes | Sequence[int], field: FieldSpec
+) -> bytes:
+    """Coefficients of the unique degree-(m-1) polynomial through m points.
+
+    Solves the Vandermonde system by Gauss-Jordan elimination; the whole
+    coefficient vector is recovered because every coefficient carries
+    data, not just the constant term.
+    """
+    m = len(points)
+    if m == 0 or len(values) != m:
+        raise ValueError("need equally many points and values, at least one")
+    if any(x == 0 for x in points):
+        raise InterpolationError("evaluation points must be nonzero")
+    if len(set(points)) != m:
+        raise InterpolationError("duplicate evaluation points make the system singular")
+    t = tables_for(field)
+    # rows: [x^0, x^1, .., x^(m-1) | y]
+    aug = []
+    for x, y in zip(points, values):
+        row = [1] * m + [y]
+        for j in range(1, m):
+            row[j] = t.mul(row[j - 1], x)
+        aug.append(row)
+    for k in range(m):
+        if aug[k][k] == 0:
+            for r in range(k + 1, m):
+                if aug[r][k]:
+                    aug[k], aug[r] = aug[r], aug[k]
+                    break
+            else:
+                raise InterpolationError("singular interpolation system")
+        inv = t.inv(aug[k][k])
+        aug[k] = [t.mul(v, inv) for v in aug[k]]
+        for r in range(m):
+            if r != k and aug[r][k]:
+                f = aug[r][k]
+                aug[r] = [v ^ t.mul(w, f) for v, w in zip(aug[r], aug[k])]
+    return bytes(row[m] for row in aug)
+
 
 # 0.999 quantile of the chi-square distribution with 255 degrees of
 # freedom (0.001 significance threshold for a 256-bin uniformity test).
@@ -43,6 +160,14 @@ def shift_reduce_mul(a, b, poly: int) -> np.ndarray:
     for bit in range(15, 7, -1):
         prod ^= np.where((prod >> bit) & 1, np.uint32(poly << (bit - 8)), np.uint32(0))
     return prod.astype(np.uint8)
+
+
+def gf_inv(field: FieldSpec, a: int) -> int:
+    """Multiplicative inverse by square and multiply; zero has none."""
+    if a == 0:
+        raise ZeroDivisionError("0 has no multiplicative inverse")
+    # a^(2^8 - 2) = a^-1 in a field of 256 elements
+    return gf.gf_pow(field, a, 254)
 
 
 def ref_poly_mod(a: int, b: int) -> int:
@@ -91,14 +216,12 @@ def recovered_key_material(shares: list[Share]) -> bytes:
     )
 
 
-def _block_randomness(params: SchemeParams, main, aux):
+def _block_randomness(params: SchemeParams, main, aux) -> BlockRandomness:
+    """The next block's words, read in order from the stream(s)."""
     n, m = params.n, params.m
     if aux is None:
-        words = main.read(params.words_per_block)
-        return words[:m], words[m : m + n], words[m + n :]
-    mask = main.read(m)
-    rest = aux.read(n + EXTRA_WORDS)
-    return mask, rest[:n], rest[n:]
+        return BlockRandomness.from_words(main.read(params.words_per_block), m, n)
+    return BlockRandomness.from_words(main.read(m) + aux.read(n + EXTRA_WORDS), m, n)
 
 
 def reference_payloads(

@@ -1,10 +1,11 @@
-"""Direct checks of the vectorized engine against the scalar block operations."""
+"""Direct checks of the vectorized engine against the scalar block oracle."""
 
 import numpy as np
 import pytest
 
+from helpers import derive_eval_points, eval_block, select_field
 from sbshare import _engine, gf
-from sbshare.shamir import eval_block
+from sbshare.shamir import FieldPolicy
 
 
 @pytest.mark.parametrize("m", [1, 2, 16, 255])
@@ -34,3 +35,23 @@ def test_no_blocks():
     coeffs, points = np.zeros((0, 3), np.uint8), np.zeros((0, 5), np.uint8)
     assert _engine.eval_blocks(coeffs, points, f).shape == (0, 5)
     assert _engine.interpolate_blocks(points[:, :3], coeffs, f).shape == (0, 3)
+
+
+@pytest.mark.parametrize("n", [1, 2, 128, 255])
+def test_derive_points_matches_oracle_row_by_row(n):
+    rng = np.random.default_rng(n)
+    words = np.concatenate(
+        [np.zeros((1, n), np.uint8), np.full((1, n), 254, np.uint8), rng.integers(0, 256, (64, n), np.uint8)]
+    )
+    points = _engine.derive_points(words)
+    for row, got in zip(words, points):
+        assert tuple(got.tolist()) == derive_eval_points(row.tobytes())
+
+
+@pytest.mark.parametrize("policy", list(FieldPolicy))
+def test_field_indices_match_oracle(policy):
+    rng = np.random.default_rng(int(policy))
+    words = rng.integers(0, 256, (512, 4), np.uint8)
+    words[0], words[1] = 0, 255
+    got = [gf.field_by_index(int(i)) for i in _engine.field_indices(words, policy)]
+    assert got == [select_field(w.tobytes(), policy) for w in words]

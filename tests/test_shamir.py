@@ -3,24 +3,22 @@
 import itertools
 import secrets
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sbshare import gf
-from sbshare.shamir import (
+from helpers import (
     BlockRandomness,
-    FieldPolicy,
     InterpolationError,
-    SchemeParams,
     derive_eval_points,
     eval_block,
     interpolate_block,
     mask_words,
-    recover_key,
     select_field,
-    split_key,
 )
+from sbshare import _engine, gf
+from sbshare.shamir import FieldPolicy, SchemeParams, recover_key, split_key
 
 field_specs = st.integers(min_value=0, max_value=29).map(gf.field_by_index)
 
@@ -33,9 +31,11 @@ class TestSchemeParams:
             with pytest.raises(ValueError):
                 SchemeParams(n=n, m=m)
 
-    def test_word_size_fixed(self):
-        with pytest.raises(ValueError):
-            SchemeParams(n=3, m=2, word_bits=16)
+    def test_rejects_unknown_field_policy(self):
+        for policy in (5, "fixed-canonical"):
+            with pytest.raises(ValueError):
+                SchemeParams(n=3, m=2, field_policy=policy)
+        assert SchemeParams(n=3, m=2, field_policy=1).field_policy is FieldPolicy.FIXED_CANONICAL
 
     def test_words_per_block(self):
         assert SchemeParams(n=5, m=3).words_per_block == 12
@@ -70,25 +70,42 @@ class TestMaskWords:
             mask_words(b"\x00", b"\x00\x00")
 
 
-class TestDeriveEvalPoints:
+def engine_points(words: bytes) -> tuple[int, ...]:
+    """_engine.derive_points on a single row."""
+    return tuple(_engine.derive_points(np.frombuffer(words, np.uint8)[None, :])[0].tolist())
+
+
+def engine_field(words: bytes, policy: FieldPolicy) -> gf.FieldSpec:
+    """_engine.field_indices on a single row."""
+    index = _engine.field_indices(np.frombuffer(words, np.uint8)[None, :], policy)[0]
+    return gf.field_by_index(int(index))
+
+
+class DerivePointsCases:
+    """Known answers for point derivation; derive is the implementation under test."""
+
+    derive = staticmethod(derive_eval_points)
+
     def test_zero_words_probe_upward(self):
-        assert derive_eval_points(bytes(3)) == (1, 2, 3)
+        assert self.derive(bytes(3)) == (1, 2, 3)
 
     def test_modulus_edges(self):
-        assert derive_eval_points(bytes([254])) == (255,)
-        assert derive_eval_points(bytes([255])) == (1,)
+        assert self.derive(bytes([254])) == (255,)
+        assert self.derive(bytes([255])) == (1,)
 
     def test_probe_wraps_255_to_1(self):
-        assert derive_eval_points(bytes([254, 254])) == (255, 1)
+        assert self.derive(bytes([254, 254])) == (255, 1)
 
     def test_too_many_points(self):
         with pytest.raises(ValueError):
-            derive_eval_points(bytes(256))
+            self.derive(bytes(256))
 
     def test_full_saturation(self):
-        points = derive_eval_points(bytes(255))
+        points = self.derive(bytes(255))
         assert sorted(points) == list(range(1, 256))
 
+
+class TestDeriveEvalPoints(DerivePointsCases):
     @given(st.binary(min_size=1, max_size=255))
     @settings(max_examples=200)
     def test_distinct_nonzero_deterministic(self, words):
@@ -98,19 +115,29 @@ class TestDeriveEvalPoints:
         assert derive_eval_points(words) == points
 
 
-class TestSelectField:
+class TestEngineDerivePoints(DerivePointsCases):
+    derive = staticmethod(engine_points)
+
+
+class SelectFieldCases:
+    """Known answers for field selection; select is the implementation under test."""
+
+    select = staticmethod(select_field)
+
     def test_examples(self):
-        assert select_field(bytes([0, 0, 0, 0x00]), FieldPolicy.RANDOM_PER_BLOCK) == gf.field_by_index(0)
-        assert select_field(bytes([0, 0, 0, 0x1D]), FieldPolicy.RANDOM_PER_BLOCK) == gf.field_by_index(29)
-        assert select_field(bytes([0, 0, 0, 0x1E]), FieldPolicy.RANDOM_PER_BLOCK) == gf.field_by_index(0)
+        assert self.select(bytes([0, 0, 0, 0x00]), FieldPolicy.RANDOM_PER_BLOCK) == gf.field_by_index(0)
+        assert self.select(bytes([0, 0, 0, 0x1D]), FieldPolicy.RANDOM_PER_BLOCK) == gf.field_by_index(29)
+        assert self.select(bytes([0, 0, 0, 0x1E]), FieldPolicy.RANDOM_PER_BLOCK) == gf.field_by_index(0)
 
     def test_big_endian(self):
         # 0x01000000 mod 30 = 16777216 mod 30 = 16
-        assert select_field(bytes([1, 0, 0, 0]), FieldPolicy.RANDOM_PER_BLOCK) == gf.field_by_index(16)
+        assert self.select(bytes([1, 0, 0, 0]), FieldPolicy.RANDOM_PER_BLOCK) == gf.field_by_index(16)
 
     def test_fixed_policy_ignores_words(self):
-        assert select_field(bytes([9, 9, 9, 9]), FieldPolicy.FIXED_CANONICAL) == gf.field_by_index(0)
+        assert self.select(bytes([9, 9, 9, 9]), FieldPolicy.FIXED_CANONICAL) == gf.field_by_index(0)
 
+
+class TestSelectField(SelectFieldCases):
     def test_word_count_enforced(self):
         with pytest.raises(ValueError):
             select_field(bytes(3), FieldPolicy.RANDOM_PER_BLOCK)
@@ -120,6 +147,10 @@ class TestSelectField:
         a = select_field(words, FieldPolicy.RANDOM_PER_BLOCK)
         b = select_field(words, FieldPolicy.RANDOM_PER_BLOCK)
         assert a == b
+
+
+class TestEngineSelectField(SelectFieldCases):
+    select = staticmethod(engine_field)
 
 
 class TestEvalBlock:
