@@ -129,6 +129,25 @@ def interpolate_blocks(points: np.ndarray, values: np.ndarray, f: np.ndarray) ->
     return out.T
 
 
+def interpolate_at_zero(points: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Values at 0, over field 0, of the polynomials through shared points.
+
+    points (m,) distinct and nonzero, values (m, L): column k holds the
+    values of polynomial k.  The Lagrange weights at zero,
+    l_i(0) = prod_{j != i} x_j / (x_i + x_j), are the same for every
+    column, so each result word costs m products and one XOR reduction.
+    """
+    _build_tables(np.zeros(1, dtype=np.intp))
+    x = points.astype(np.intp)
+    frac = _MUL[_rows(0, x) | _INV[0, x[:, None] ^ x]]  # [i, j] = x_j / (x_i + x_j)
+    np.fill_diagonal(frac, 1)
+    while frac.shape[1] > 1:  # multiply the columns together, halving each pass
+        half = frac.shape[1] // 2
+        pairs = _MUL[_rows(0, frac[:, :half]) | frac[:, half : 2 * half]]
+        frac = np.concatenate((pairs, frac[:, 2 * half :]), axis=1)
+    return np.bitwise_xor.reduce(_MUL[_rows(0, frac) | values], axis=0)
+
+
 def _read_rows(stream: RrsgStream, block_start: int, nblocks: int, width: int) -> np.ndarray:
     """Blocks block_start.. of a stream that holds width words per block."""
     stream.seek(block_start * width)

@@ -74,7 +74,7 @@ def split_key(key: bytes, n: int, m: int) -> list[bytes]:
 def recover_key(shares: Sequence[tuple[int, bytes]], m: int) -> bytes:
     """Rebuild key material from m (share_index, key_share) pairs.
 
-    Interpolation over the canonical field, read at coefficient 0;
+    Lagrange interpolation at zero over the canonical field;
     share_index j corresponds to evaluation point j+1.
     """
     shares = list(shares)
@@ -89,6 +89,6 @@ def recover_key(shares: Sequence[tuple[int, bytes]], m: int) -> bytes:
     length = len(chosen[0][1])
     if any(len(data) != length for _, data in chosen):
         raise ValueError("key shares have inconsistent lengths")
-    xs = np.broadcast_to(np.array(indices[:m], dtype=np.uint8) + 1, (length, m))
-    ys = np.frombuffer(b"".join(data for _, data in chosen), dtype=np.uint8).reshape(m, length).T
-    return _engine.interpolate_blocks(xs, ys, np.zeros(length, dtype=np.intp))[:, 0].tobytes()
+    xs = np.array(indices[:m], dtype=np.uint8) + 1
+    ys = np.frombuffer(b"".join(data for _, data in chosen), dtype=np.uint8).reshape(m, length)
+    return _engine.interpolate_at_zero(xs, ys).tobytes()

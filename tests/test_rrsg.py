@@ -91,6 +91,34 @@ class TestChaCha20:
         stream.seek(offset)
         assert stream.read(130) == chacha_oracle(seed, offset, 130)
 
+    @pytest.mark.parametrize("offset", [0, 37, 64 * 16383 + 5])
+    def test_long_read_spans_batch_seams(self, offset):
+        # The keystream is computed 16384 blocks (1 MiB) at a time; these
+        # reads cross one or two of those seams at different alignments.
+        seed = Seed(bytes(range(KEY_LEN)), bytes(range(100, 100 + NONCE_LEN)))
+        stream = new_stream(seed, Algorithm.CHACHA20)
+        stream.seek(offset)
+        count = 2**20 + 200
+        assert stream.read(count) == chacha_oracle(seed, offset, count)
+        assert stream.position == offset + count
+
+    def test_counter_exhaustion(self):
+        seed = Seed(b"\x11" * KEY_LEN, b"\x22" * NONCE_LEN)
+        end = 64 * 2**32
+        stream = new_stream(seed, Algorithm.CHACHA20)
+        stream.seek(end - 10)
+        # the last 10 bytes of block 0xFFFFFFFF are still in range
+        assert stream.read(10) == chacha_oracle(seed, end - 10, 10)
+        stream.seek(end - 10)
+        with pytest.raises(ValueError, match="exhausted"):
+            stream.read(11)
+        assert stream.position == end - 10
+        stream.seek(end)
+        assert stream.read(0) == b""
+        with pytest.raises(ValueError, match="exhausted"):
+            stream.read(1)
+        assert stream.position == end
+
 
 class TestLcg:
     def test_zero_seed_golden(self):
