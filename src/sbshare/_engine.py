@@ -13,7 +13,10 @@ milliseconds to a first small operation.  Interpolation is barycentric
 Lagrange (Berrut and Trefethen, SIAM Review 2004), O(m^2) per block.
 Both transforms work point-major, in slices of _SLICE_WORDS words that
 keep their intp index temporaries (eight bytes per word) a fixed size
-rather than a multiple of the message.
+rather than a multiple of the message.  Point derivation is point-major
+too, over the whole run: each new point is compared with the earlier
+points of every block at once, and only the blocks where it collides
+are probed further.
 """
 
 from __future__ import annotations
@@ -61,30 +64,40 @@ def derive_points(point_words: np.ndarray) -> np.ndarray:
 
     Point i is 1 + (word_i mod 255), probed upward (255 wraps to 1)
     past the points already taken in its row; the probe reads no more
-    words, so every block consumes the same number.
+    words, so every block consumes the same number.  The points are
+    built point-major in one (n, B) copy of the words, so point i is
+    checked against the earlier points of every block by one contiguous
+    compare, and only the blocks where it collides are probed.  The
+    input is never written: it may be a read-only keystream view.
     """
     nblocks, n = point_words.shape
     if n > 255:
         raise ValueError("cannot derive more than 255 distinct nonzero points")
-    x = np.empty((nblocks, n), dtype=np.uint8)
-    for i in range(n):
-        cand = (point_words[:, i] % 255) + 1
-        if i:
-            coll = (x[:, :i] == cand[:, None]).any(axis=1)
-            while coll.any():
-                rows = np.flatnonzero(coll)
-                cand[rows] = (cand[rows] % 255) + 1
-                coll[rows] = (x[rows, :i] == cand[rows, None]).any(axis=1)
-        x[:, i] = cand
-    return x
+    x = np.array(point_words.T, dtype=np.uint8, order="C")
+    # 1 + (w mod 255) without a modulo: w + 1 wraps 255 to 0, raised to 1
+    x += 1
+    np.maximum(x, 1, out=x)
+    for i in range(1, n):
+        cols = np.flatnonzero((x[:i] == x[i]).any(axis=0))
+        taken, cand = x[:i, cols], x[i, cols]
+        while len(cols):
+            cand += 1
+            np.maximum(cand, 1, out=cand)
+            x[i, cols] = cand
+            keep = (taken == cand).any(axis=0)
+            cols, cand, taken = cols[keep], cand[keep], taken[:, keep]
+    return x.T
 
 
 def field_indices(field_words: np.ndarray, policy: shamir.FieldPolicy) -> np.ndarray:
-    """(B, 4) words -> (B,) canonical field indices."""
+    """(B, 4) words -> (B,) canonical field indices.
+
+    A block's four words are one big-endian 32-bit integer, taken
+    modulo the number of fields.
+    """
     if policy == shamir.FieldPolicy.FIXED_CANONICAL:
         return np.zeros(field_words.shape[0], dtype=np.intp)
-    w = field_words.astype(np.uint32)
-    packed = (w[:, 0] << 24) | (w[:, 1] << 16) | (w[:, 2] << 8) | w[:, 3]
+    packed = np.ascontiguousarray(field_words).view(">u4")[:, 0]
     return (packed % np.uint32(gf.field_count())).astype(np.intp)
 
 

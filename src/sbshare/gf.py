@@ -62,11 +62,11 @@ def _poly_mod(a: int, b: int) -> int:
     return a
 
 
-def is_irreducible(poly: int, degree: int = FIELD_DEGREE) -> bool:
-    """Trial division by every polynomial of degree 1..degree//2."""
-    if poly.bit_length() != degree + 1:
+def is_irreducible(poly: int) -> bool:
+    """Whether poly has degree 8 and no factor of degree 1..4 (trial division)."""
+    if poly.bit_length() != FIELD_DEGREE + 1:
         return False
-    for d in range(2, 1 << (degree // 2 + 1)):
+    for d in range(2, 1 << (FIELD_DEGREE // 2 + 1)):
         if _poly_mod(poly, d) == 0:
             return False
     return True

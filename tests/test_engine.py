@@ -35,6 +35,9 @@ def test_no_blocks():
     coeffs, points = np.zeros((0, 3), np.uint8), np.zeros((0, 5), np.uint8)
     assert _engine.eval_blocks(coeffs, points, f).shape == (0, 5)
     assert _engine.interpolate_blocks(points[:, :3], coeffs, f).shape == (0, 3)
+    assert _engine.derive_points(points).shape == (0, 5)
+    for policy in FieldPolicy:
+        assert _engine.field_indices(np.zeros((0, 4), np.uint8), policy).shape == (0,)
 
 
 @pytest.mark.parametrize("n", [1, 2, 128, 255])
@@ -46,6 +49,35 @@ def test_derive_points_matches_oracle_row_by_row(n):
     points = _engine.derive_points(words)
     for row, got in zip(words, points):
         assert tuple(got.tolist()) == derive_eval_points(row.tobytes())
+
+
+@pytest.mark.parametrize("n", [5, 32, 64, 255])
+@pytest.mark.parametrize("low,high", [(0, 4), (250, 256)])
+def test_derive_points_long_probe_runs(n, low, high):
+    # words from a few adjacent values collide on nearly every point, so
+    # probes run long, and from 250..255 they wrap 255 to 1
+    words = np.random.default_rng([n, low]).integers(low, high, (48, n), np.uint8)
+    points = _engine.derive_points(words)
+    for row, got in zip(words, points):
+        assert tuple(got.tolist()) == derive_eval_points(row.tobytes())
+
+
+@pytest.mark.parametrize("n,m", [(1, 1), (5, 3), (32, 16), (255, 128)])
+def test_points_and_fields_from_one_keystream_buffer(n, m):
+    # the words as one seed's keystream_blocks passes them: strided views
+    # into one read-only (B, m + n + 4) buffer that also holds the masks
+    raw = np.random.default_rng([n, m]).integers(0, 256, (64, m + n + 4), np.uint8)
+    raw[:2] = 255  # every word of these rows wraps to candidate 1
+    raw[2] = 0
+    words = np.frombuffer(raw.tobytes(), dtype=np.uint8).reshape(raw.shape)
+    point_words, field_words = words[:, m : m + n], words[:, m + n :]
+    points = _engine.derive_points(point_words)
+    for row, got in zip(point_words, points):
+        assert tuple(got.tolist()) == derive_eval_points(row.tobytes())
+    for policy in FieldPolicy:
+        got = [gf.field_by_index(int(i)) for i in _engine.field_indices(field_words, policy)]
+        assert got == [select_field(w.tobytes(), policy) for w in field_words]
+    assert words.tobytes() == raw.tobytes()
 
 
 @pytest.mark.parametrize("policy", list(FieldPolicy))
