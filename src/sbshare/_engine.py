@@ -6,11 +6,12 @@ semantics are defined by the scalar oracle in tests/helpers.py, and the
 test suite holds the two equal.  keystream_blocks is the one place that
 knows how a block's keystream words are laid out and at what stride.
 
-A product in field f is one gather, a * b = _MUL[f << 16 | a << 8 | b];
-each field's 256x256 table is built from its exp/log tables when the
-field is first used, since building all 30 would add tens of
-milliseconds to a first small operation.  Interpolation is barycentric
-Lagrange (Berrut and Trefethen, SIAM Review 2004), O(m^2) per block.
+A product in field f is one gather, a * b = _MUL[f << 16 | a << 8 | b],
+and so is a quotient, a / b = _DIV[f << 16 | a << 8 | b].  A field's two
+256x256 tables are built together from its exp/log tables on its first
+use, since building all 30 would add tens of milliseconds to a first
+small operation.  Interpolation is Newton's divided differences (Knuth,
+TAOCP Vol. 2, 4.6.4), m(m - 1) gathers per block.
 Both transforms work point-major, in slices of _SLICE_WORDS words that
 keep their intp index temporaries (eight bytes per word) a fixed size
 rather than a multiple of the message.  Point derivation is point-major
@@ -29,34 +30,27 @@ from .rrsg import RrsgStream
 _SLICE_WORDS = 1 << 15
 _FIELDS = gf.count_irreducible(gf.FIELD_DEGREE)
 _MUL = np.zeros(_FIELDS << 16, dtype=np.uint8)
-_INV = np.zeros((_FIELDS, 256), dtype=np.uint8)  # [f, 0] stays 0; [f, 1] is 1 once built
+_DIV = np.zeros(_FIELDS << 16, dtype=np.uint8)  # a / 0 stays 0
+_BUILT = _DIV[0x101 :: 1 << 16]  # each field's 1 / 1, written last by _build_tables
 
 
 def _build_tables(f: np.ndarray) -> None:
     """Build the tables of every field index in f that are not built yet."""
-    for i in np.flatnonzero((np.bincount(f, minlength=_FIELDS) > 0) & (_INV[:, 1] == 0)):
+    for i in np.flatnonzero((np.bincount(f, minlength=_FIELDS) > 0) & (_BUILT == 0)):
         t = gf.tables_for(gf.field_by_index(int(i)))
         exp, log = np.array(t.exp * 2, dtype=np.uint8), np.array(t.log[1:], dtype=np.intp)
         _MUL[i << 16 : (i + 1) << 16].reshape(256, 256)[1:, 1:] = exp[log[:, None] + log]
-        _INV[i, 1:] = exp[255 - log]  # last, as it marks the field built
+        _DIV[i << 16 : (i + 1) << 16].reshape(256, 256)[1:, 1:] = exp[log[:, None] + (255 - log)]
 
 
 def _rows(f: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Offsets into _MUL of the rows 'times a' in fields f (broadcast)."""
+    """Offsets into _MUL or _DIV of the rows of a in fields f (broadcast)."""
     return np.left_shift(a, 8, dtype=np.intp) | (f << 16)
 
 
 def _slices(nblocks: int, width: int):
     step = max(1, _SLICE_WORDS // width)
     return (slice(i, i + step) for i in range(0, nblocks, step))
-
-
-def _horner(coeffs: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """sum_k coeffs[k] * x^k at each point x whose row offsets are rows."""
-    acc = np.broadcast_to(coeffs[-1], rows.shape)
-    for k in range(len(coeffs) - 2, -1, -1):
-        acc = _MUL[rows + acc] ^ coeffs[k]
-    return acc
 
 
 def derive_points(point_words: np.ndarray) -> np.ndarray:
@@ -106,39 +100,36 @@ def eval_blocks(coeffs: np.ndarray, points: np.ndarray, f: np.ndarray) -> np.nda
     _build_tables(f)
     out = np.empty(points.shape[::-1], dtype=np.uint8)
     for s in _slices(len(points), points.shape[1]):
-        out[:, s] = _horner(coeffs[s].T.copy(), _rows(f[s], points[s].T.copy()))
+        c, rows = coeffs[s].T.copy(), _rows(f[s], points[s].T.copy())
+        acc = np.broadcast_to(c[-1], rows.shape)
+        for k in range(len(c) - 2, -1, -1):
+            acc = _MUL[rows + acc] ^ c[k]
+        out[:, s] = acc
     return out.T
 
 
 def interpolate_blocks(points: np.ndarray, values: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Barycentric Lagrange: (B, m) points and values -> (B, m) coeffs.
+    """Newton's divided differences: (B, m) points and values -> (B, m) coeffs.
 
     Points within a row must be distinct and nonzero (guaranteed by
-    derive_points).  With the master polynomial P(z) = prod_j (z + x_j)
-    and q_i(z) = P(z) / (z + x_i), the coefficients are
-    sum_i y_i * w_i * q_i(z), where w_i = 1 / prod_{j != i} (x_i + x_j).
+    derive_points).  Level l turns d_i into f[x_{i-l} .. x_i]; Horner's
+    rule on the Newton form d_0 + (z + x_0)(d_1 + (z + x_1)(d_2 + ...)),
+    innermost first, then turns d into the monomial coefficients.
     """
     _build_tables(f)
     nblocks, m = points.shape
     out = np.empty((m, nblocks), dtype=np.uint8)
     for s in _slices(nblocks, m):
-        fs, x = f[s], points[s].T.copy()
-        xrows = _rows(fs, x)
-        # P low degree first; degree j fills the top j + 1 rows, so z * P moves nothing
-        master = np.zeros((m + 1, len(fs)), dtype=np.uint8)
-        master[m] = 1
-        for j in range(m):
-            master[m - j - 1 : m] ^= _MUL[xrows[j] + master[m - j :]]
-        # prod_{j != i} (x_i + x_j) is P'(x_i); in characteristic 2 the
-        # derivative keeps the odd terms of P, a polynomial in z^2
-        slope = _horner(master[1::2], _rows(fs, _MUL[xrows + x]))
-        ywrows = _rows(fs, _MUL[_rows(fs, values[s].T) + _INV[fs, slope]])
-        # synthetic division by every (z + x_i) at once, top coefficient
-        # first: q_i[k-1] = P[k] + x_i * q_i[k], starting from q_i[m] = 0
-        q = np.zeros_like(x)
-        for k in range(m, 0, -1):
-            q = _MUL[xrows + q] ^ master[k]
-            out[k - 1, s] = np.bitwise_xor.reduce(_MUL[ywrows + q], axis=0)
+        fs, x, d = f[s], points[s].T.copy(), values[s].T.copy()
+        for l in range(1, m):
+            d[l:] = _DIV[_rows(fs, d[l:] ^ d[l - 1 : -1]) | (x[l:] ^ x[: m - l])]
+        # c holds z^j at row k + j: multiplying by z moves no row
+        c = out[:, s]
+        c[m - 1] = d[m - 1]
+        for k in range(m - 2, -1, -1):
+            prod = _MUL[_rows(fs, x[k]) | c[k + 1 :]]
+            c[k] = prod[0] ^ d[k]
+            c[k + 1 : m - 1] ^= prod[1:]
     return out.T
 
 
@@ -152,7 +143,7 @@ def interpolate_at_zero(points: np.ndarray, values: np.ndarray) -> np.ndarray:
     """
     _build_tables(np.zeros(1, dtype=np.intp))
     x = points.astype(np.intp)
-    frac = _MUL[_rows(0, x) | _INV[0, x[:, None] ^ x]]  # [i, j] = x_j / (x_i + x_j)
+    frac = _DIV[_rows(0, x) | (x[:, None] ^ x)]  # [i, j] = x_j / (x_i + x_j)
     np.fill_diagonal(frac, 1)
     while frac.shape[1] > 1:  # multiply the columns together, halving each pass
         half = frac.shape[1] // 2

@@ -131,8 +131,16 @@ def _cmd_split(args) -> int:
     return EXIT_OK
 
 
+def _read_share(path: Path):
+    """Decode one share file; a FormatError names the file at fault."""
+    try:
+        return decode_share(path.read_bytes())
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
+
+
 def _cmd_combine(args) -> int:
-    shares = [decode_share(path.read_bytes()) for path in args.shares]
+    shares = [_read_share(path) for path in args.shares]
     if args.range is None:
         data = combine(shares)
     else:
@@ -143,7 +151,7 @@ def _cmd_combine(args) -> int:
 
 
 def _cmd_inspect(args) -> int:
-    share = decode_share(args.share.read_bytes())
+    share = _read_share(args.share)
     params = share.params
     policy = "fixed-canonical" if params.field_policy == FieldPolicy.FIXED_CANONICAL else "random-per-block"
     print(f"{args.share}:")

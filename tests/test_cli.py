@@ -156,6 +156,22 @@ class TestCombine:
         assert main(["combine", str(source), str(source), "-o", str(tmp_path / "x")]) == EXIT_IO
         assert "malformed" in capsys.readouterr().err
 
+    def test_truncated_share_named_in_error(self, workspace, tmp_path, capsys):
+        paths = split_fixture(workspace)
+        data = paths[1].read_bytes()
+        cut = tmp_path / "cut.sbs1"
+        cut.write_bytes(data[:-2])
+        capsys.readouterr()
+        assert main(["combine", str(paths[0]), str(cut), "-o", str(tmp_path / "x")]) == EXIT_IO
+        out = capsys.readouterr()
+        assert str(cut) in out.err
+        assert str(paths[0]) not in out.err
+        assert out.out == ""
+        # sizes only: neither the key share nor the payload reaches stderr
+        share = decode_share(data)
+        assert share.key_share.hex() not in out.err and share.payload.hex() not in out.err
+        assert not (tmp_path / "x").exists()
+
 
 class TestInspect:
     def test_header_dump(self, workspace, capsys):
@@ -174,7 +190,8 @@ class TestInspect:
         plain = tmp_path / "notes.txt"
         plain.write_bytes(b"x" * 40)
         assert main(["inspect", str(plain)]) == EXIT_IO
-        assert "bad magic" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "bad magic" in err and str(plain) in err
 
 
 class TestFields:

@@ -8,7 +8,7 @@ from sbshare import _engine, gf
 from sbshare.shamir import FieldPolicy
 
 
-@pytest.mark.parametrize("m", [1, 2, 16, 255])
+@pytest.mark.parametrize("m", [1, 2, 3, 16, 17, 128, 255])
 @pytest.mark.parametrize("whole,offset", [(1, -1), (1, 0), (1, 1), (2, 1)])
 def test_interpolate_inverts_eval_across_slices(m, whole, offset):
     # n = m, so both transforms slice at the same block count; the block
@@ -28,6 +28,39 @@ def test_interpolate_inverts_eval_across_slices(m, whole, offset):
         field = gf.field_by_index(int(f[b]))
         assert values[b].tobytes() == eval_block(coeffs[b].tobytes(), points[b].tolist(), field)
     assert np.array_equal(_engine.interpolate_blocks(points, values, f), coeffs)
+
+
+@pytest.mark.parametrize("n,m", [(1, 1), (5, 3), (32, 16)])
+def test_interpolate_leaves_read_only_inputs_unchanged(n, m):
+    # strided, read-only views of m points and m values, both columns
+    # of one buffer that holds n of each
+    rng = np.random.default_rng([n, m, 7])
+    coeffs = rng.integers(0, 256, (300, m), dtype=np.uint8)
+    points = _engine.derive_points(rng.integers(0, 256, (300, n), dtype=np.uint8))
+    f = rng.integers(0, gf.field_count(), 300)
+    raw = np.concatenate((points, _engine.eval_blocks(coeffs, points, f)), axis=1)
+    buf = np.frombuffer(raw.tobytes(), dtype=np.uint8).reshape(raw.shape)
+    xs, ys = buf[:, :m], buf[:, n : n + m]
+    assert not (xs.flags.writeable or ys.flags.writeable)
+    got = _engine.interpolate_blocks(xs, ys, f)
+    assert np.array_equal(got, coeffs)
+    assert buf.tobytes() == raw.tobytes()
+
+
+def test_division_table_matches_field_tables():
+    nfields = gf.field_count()
+    _engine._build_tables(np.arange(nfields))
+    div = _engine._DIV.reshape(nfields, 256, 256)
+    mul = _engine._MUL.reshape(nfields, 256, 256)
+    a, b = np.arange(256)[:, None], np.arange(1, 256)
+    for f in range(nfields):
+        t = gf.tables_for(gf.field_by_index(f))
+        inverse = [t.inv(int(v)) for v in b]
+        expected = [[t.mul(x, inv) for inv in inverse] for x in range(256)]
+        assert div[f, :, 1:].tolist() == expected
+        assert np.array_equal(mul[f, div[f, :, 1:], b], np.broadcast_to(a, (256, 255)))
+        assert not div[f, :, 0].any()
+    assert _engine._BUILT.tolist() == [1] * nfields
 
 
 def test_no_blocks():
