@@ -92,7 +92,7 @@ def field_indices(field_words: np.ndarray, policy: shamir.FieldPolicy) -> np.nda
     if policy == shamir.FieldPolicy.FIXED_CANONICAL:
         return np.zeros(field_words.shape[0], dtype=np.intp)
     packed = np.ascontiguousarray(field_words).view(">u4")[:, 0]
-    return (packed % np.uint32(gf.field_count())).astype(np.intp)
+    return (packed % np.uint32(_FIELDS)).astype(np.intp)
 
 
 def eval_blocks(coeffs: np.ndarray, points: np.ndarray, f: np.ndarray) -> np.ndarray:

@@ -1,9 +1,10 @@
 """Deterministic, seekable keystream generators.
 
-A stream is an unbounded sequence of words (one word = one byte) fully
-determined by a 44-byte seed: the same seed and algorithm always yield
-the same sequence, and any position can be reached directly with
-``seek`` without regenerating the prefix.
+A stream is an unbounded sequence of words (one word = one byte) that
+is a function of its 44-byte seed and algorithm alone, so ``seek``
+reaches any position without regenerating the prefix.  ``RrsgStream.read``
+alone checks the count and moves the position; each generator maps an
+offset and a count to words and holds no state besides its seed.
 
 Two algorithms are provided:
 
@@ -12,7 +13,8 @@ Two algorithms are provided:
   production choice; seeking costs one block computation.
 * ``Algorithm.TEST_LCG`` - a 64-bit linear congruential generator kept
   for portable golden tests.  It is trivially predictable and MUST NOT
-  be used to protect real data.
+  be used to protect real data.  A read jumps to its offset in O(log
+  offset), then steps 4096 words at a time by tables built at import.
 
 ChaCha20 runs in numpy in the row layout of SIMD implementations: the
 state of a batch of B blocks is four (4, B) row sets a, b, c, d, so one
@@ -90,6 +92,17 @@ class RrsgStream:
         self._pos = word_offset
 
     def read(self, count: int) -> bytes:
+        """The next count words; the position advances only if they exist."""
+        if count < 0:
+            raise ValueError("count must be non-negative")
+        if count == 0:
+            return b""
+        words = self._words(self._pos, count)
+        self._pos += count
+        return words
+
+    def _words(self, start: int, count: int) -> bytes:
+        """Words [start, start + count), count > 0, as a function of the seed alone."""
         raise NotImplementedError
 
 
@@ -153,19 +166,14 @@ class _ChaCha20Stream(RrsgStream):
             (_CHACHA_CONST, np.frombuffer(seed.key + bytes(4) + seed.nonce, dtype="<u4"))
         )
 
-    def read(self, count: int) -> bytes:
-        if count < 0:
-            raise ValueError("count must be non-negative")
-        if count == 0:
-            return b""
-        block, offset = divmod(self._pos, _CHACHA_BLOCK)
+    def _words(self, start: int, count: int) -> bytes:
+        block, offset = divmod(start, _CHACHA_BLOCK)
         nblocks = (offset + count + _CHACHA_BLOCK - 1) // _CHACHA_BLOCK
         if block + nblocks > 1 << 32:
             raise ValueError("block counter space exhausted")
         out = np.empty((nblocks, 16), dtype="<u4")
         for i in range(0, nblocks, _MAX_BATCH_BLOCKS):
             _chacha20_into(out[i : i + _MAX_BATCH_BLOCKS], self._init, block + i)
-        self._pos += count
         return out.reshape(-1).view(np.uint8)[offset : offset + count].tobytes()
 
 
@@ -191,21 +199,10 @@ def _lcg_jump(state: int, steps: int) -> int:
     return (state * a_acc + c_acc) & _MASK64
 
 
-def _lcg_stride_tables() -> tuple[np.ndarray, np.ndarray]:
-    # A[i], C[i] such that s_{k+i+1} = A[i]*s_k + C[i] (mod 2^64)
-    a = np.empty(_LCG_BATCH, dtype=np.uint64)
-    c = np.empty(_LCG_BATCH, dtype=np.uint64)
-    am, cm = _LCG_MUL, _LCG_INC
-    for i in range(_LCG_BATCH):
-        a[i] = am
-        c[i] = cm
-        am = am * _LCG_MUL & _MASK64
-        cm = (cm * _LCG_MUL + _LCG_INC) & _MASK64
-    return a, c
-
-
-_LCG_A_POW: np.ndarray | None = None
-_LCG_C_POW: np.ndarray | None = None
+# s_{k+i+1} = _LCG_A[i] * s_k + _LCG_C[i] (mod 2^64), with _LCG_A[i] = a^(i+1)
+# and _LCG_C[i] = c * (1 + a + ... + a^i); uint64 products and sums wrap.
+_LCG_A = np.multiply.accumulate(np.full(_LCG_BATCH, _LCG_MUL, dtype=np.uint64))
+_LCG_C = np.cumsum(np.concatenate((np.ones(1, np.uint64), _LCG_A[:-1]))) * np.uint64(_LCG_INC)
 
 
 class _TestLcgStream(RrsgStream):
@@ -219,33 +216,16 @@ class _TestLcgStream(RrsgStream):
 
     def __init__(self, seed: Seed):
         super().__init__()
-        global _LCG_A_POW, _LCG_C_POW
-        if _LCG_A_POW is None:
-            _LCG_A_POW, _LCG_C_POW = _lcg_stride_tables()
         self._initial = int.from_bytes(seed.key[:8], "big")
-        self._state = self._initial
 
-    def seek(self, word_offset: int) -> None:
-        super().seek(word_offset)
-        self._state = _lcg_jump(self._initial, word_offset)
-
-    def read(self, count: int) -> bytes:
-        if count < 0:
-            raise ValueError("count must be non-negative")
-        if count == 0:
-            return b""
-        out = bytearray()
-        state = np.uint64(self._state)
-        remaining = count
-        while remaining:
-            k = min(remaining, _LCG_BATCH)
-            states = _LCG_A_POW[:k] * state + _LCG_C_POW[:k]
-            out += ((states >> np.uint64(33)) & np.uint64(0xFF)).astype(np.uint8).tobytes()
+    def _words(self, start: int, count: int) -> bytes:
+        out = np.empty(count, dtype=np.uint8)
+        state = np.uint64(_lcg_jump(self._initial, start))
+        for i in range(0, count, _LCG_BATCH):
+            states = _LCG_A[: count - i] * state + _LCG_C[: count - i]
+            out[i : i + _LCG_BATCH] = (states >> np.uint64(33)).astype(np.uint8)
             state = states[-1]
-            remaining -= k
-        self._state = int(state)
-        self._pos += count
-        return bytes(out)
+        return out.tobytes()
 
 
 _STREAM_CLASSES = {

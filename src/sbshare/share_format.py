@@ -120,11 +120,10 @@ def decode_share(data: bytes) -> Share:
     params = SchemeParams(
         n=n, m=m, field_policy=policy, dual_seed=bool(flags & _FLAG_DUAL_SEED)
     )
-    body = data[HEADER_LEN:]
     return Share(
         params=params,
         share_index=index,
         rrsg_algorithm=algorithm,
-        key_share=bytes(body[:key_len]),
-        payload=bytes(body[key_len:]),
+        key_share=bytes(data[HEADER_LEN : HEADER_LEN + key_len]),
+        payload=bytes(data[HEADER_LEN + key_len :]),
     )

@@ -137,6 +137,16 @@ class TestLcg:
         stream.seek(offset)
         assert stream.read(count) == lcg_oracle(seed, offset + count)[offset:]
 
+    @pytest.mark.parametrize("offset", [0, 4093, 9000])
+    def test_long_read_spans_batch_seams(self, offset):
+        # States are computed 4096 steps at a time; these reads cross
+        # three of those seams at different alignments.
+        seed = Seed(bytes(range(KEY_LEN)), bytes(NONCE_LEN))
+        stream = new_stream(seed, Algorithm.TEST_LCG)
+        stream.seek(offset)
+        count = 3 * 4096 + 5
+        assert stream.read(count) == lcg_oracle(seed, offset + count)[offset:]
+
     def test_only_first_eight_key_bytes_matter(self):
         # The recurrence is seeded from key[:8] alone by definition.
         a = new_stream(Seed(b"\x07" * KEY_LEN, b"\x00" * NONCE_LEN), Algorithm.TEST_LCG)
@@ -195,6 +205,21 @@ class TestStreamContract:
             stream.read(7)
             assert stream.read(0) == b""
             assert stream.position == 7
+
+    def test_negative_read_rejected(self):
+        for algorithm in Algorithm:
+            stream = new_stream(ZERO_SEED, algorithm)
+            stream.seek(5)
+            with pytest.raises(ValueError):
+                stream.read(-1)
+            assert stream.position == 5
+
+    def test_chained_reads_equal_one_read(self):
+        for algorithm in Algorithm:
+            stream = new_stream(ZERO_SEED, algorithm)
+            chained = stream.read(100) + stream.read(5000) + stream.read(1)
+            assert stream.position == 5101
+            assert chained == new_stream(ZERO_SEED, algorithm).read(5101)
 
     def test_position_tracks_reads(self):
         stream = new_stream(ZERO_SEED, Algorithm.CHACHA20)

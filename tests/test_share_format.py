@@ -70,6 +70,13 @@ class TestRoundTrip:
     def test_identity(self, share):
         assert decode_share(encode_share(share)) == share
 
+    @pytest.mark.parametrize("wrap", [bytearray, memoryview])
+    def test_buffer_inputs_decode_to_bytes_fields(self, wrap):
+        blob = make_blob()
+        share = decode_share(wrap(blob))
+        assert share == decode_share(blob)
+        assert type(share.key_share) is bytes and type(share.payload) is bytes
+
     def test_total_length(self):
         blob = make_blob()
         assert len(blob) == HEADER_LEN + 44 + 9
