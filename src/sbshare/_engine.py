@@ -3,8 +3,11 @@
 Operates on whole runs of blocks at once with numpy; this is the only
 implementation of the block transform in the library.  Its per-block
 semantics are defined by the scalar oracle in tests/helpers.py, and the
-test suite holds the two equal.  keystream_blocks is the one place that
-knows how a block's keystream words are laid out and at what stride.
+test suite holds the two equal.  Every array it computes is word-major,
+one column per block: points and values (n, B), coefficients (m, B), so
+row i of the values is share i's payload.  Only the keystream words are
+block-major, (B, words), in the layout keystream_blocks alone knows;
+split_payloads and recover_padded transpose the plaintext at the edge.
 
 A product in field f is one gather, a * b = _MUL[f << 16 | a << 8 | b],
 and so is a quotient, a / b = _DIV[f << 16 | a << 8 | b].  A field's two
@@ -12,12 +15,11 @@ and so is a quotient, a / b = _DIV[f << 16 | a << 8 | b].  A field's two
 use, since building all 30 would add tens of milliseconds to a first
 small operation.  Interpolation is Newton's divided differences (Knuth,
 TAOCP Vol. 2, 4.6.4), m(m - 1) gathers per block.
-Both transforms work point-major, in slices of _SLICE_WORDS words that
-keep their intp index temporaries (eight bytes per word) a fixed size
-rather than a multiple of the message.  Point derivation is point-major
-too, over the whole run: each new point is compared with the earlier
-points of every block at once, and only the blocks where it collides
-are probed further.
+Both transforms work in slices of _SLICE_WORDS words that keep their
+intp index temporaries (eight bytes per word) a fixed size rather than
+a multiple of the message.  Point derivation works over the whole run:
+each new point is compared with the earlier points of every block at
+once, and only the blocks where it collides are probed further.
 """
 
 from __future__ import annotations
@@ -54,15 +56,15 @@ def _slices(nblocks: int, width: int):
 
 
 def derive_points(point_words: np.ndarray) -> np.ndarray:
-    """(B, n) words -> (B, n) points, distinct and nonzero within each row.
+    """(B, n) words -> (n, B) points, distinct and nonzero within each column.
 
     Point i is 1 + (word_i mod 255), probed upward (255 wraps to 1)
-    past the points already taken in its row; the probe reads no more
+    past the points already taken in its block; the probe reads no more
     words, so every block consumes the same number.  The points are
-    built point-major in one (n, B) copy of the words, so point i is
-    checked against the earlier points of every block by one contiguous
-    compare, and only the blocks where it collides are probed.  The
-    input is never written: it may be a read-only keystream view.
+    built in one (n, B) copy of the words, so point i is checked against
+    the earlier points of every block by one contiguous compare, and
+    only the blocks where it collides are probed.  The input is never
+    written: it may be a read-only keystream view.
     """
     nblocks, n = point_words.shape
     if n > 255:
@@ -80,7 +82,7 @@ def derive_points(point_words: np.ndarray) -> np.ndarray:
             x[i, cols] = cand
             keep = (taken == cand).any(axis=0)
             cols, cand, taken = cols[keep], cand[keep], taken[:, keep]
-    return x.T
+    return x
 
 
 def field_indices(field_words: np.ndarray, policy: shamir.FieldPolicy) -> np.ndarray:
@@ -96,31 +98,31 @@ def field_indices(field_words: np.ndarray, policy: shamir.FieldPolicy) -> np.nda
 
 
 def eval_blocks(coeffs: np.ndarray, points: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Horner evaluation: (B, m) coeffs at (B, n) points -> (B, n) words."""
+    """Horner evaluation: (m, B) coeffs at (n, B) points -> (n, B) words."""
     _build_tables(f)
-    out = np.empty(points.shape[::-1], dtype=np.uint8)
-    for s in _slices(len(points), points.shape[1]):
-        c, rows = coeffs[s].T.copy(), _rows(f[s], points[s].T.copy())
+    out = np.empty(points.shape, dtype=np.uint8)
+    for s in _slices(points.shape[1], len(points)):
+        c, rows = coeffs[:, s], _rows(f[s], points[:, s])
         acc = np.broadcast_to(c[-1], rows.shape)
         for k in range(len(c) - 2, -1, -1):
             acc = _MUL[rows + acc] ^ c[k]
         out[:, s] = acc
-    return out.T
+    return out
 
 
 def interpolate_blocks(points: np.ndarray, values: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Newton's divided differences: (B, m) points and values -> (B, m) coeffs.
+    """Newton's divided differences: (m, B) points and values -> (m, B) coeffs.
 
-    Points within a row must be distinct and nonzero (guaranteed by
+    Points within a column must be distinct and nonzero (guaranteed by
     derive_points).  Level l turns d_i into f[x_{i-l} .. x_i]; Horner's
     rule on the Newton form d_0 + (z + x_0)(d_1 + (z + x_1)(d_2 + ...)),
     innermost first, then turns d into the monomial coefficients.
     """
     _build_tables(f)
-    nblocks, m = points.shape
+    m, nblocks = points.shape
     out = np.empty((m, nblocks), dtype=np.uint8)
     for s in _slices(nblocks, m):
-        fs, x, d = f[s], points[s].T.copy(), values[s].T.copy()
+        fs, x, d = f[s], points[:, s], values[:, s].copy()
         for l in range(1, m):
             d[l:] = _DIV[_rows(fs, d[l:] ^ d[l - 1 : -1]) | (x[l:] ^ x[: m - l])]
         # c holds z^j at row k + j: multiplying by z moves no row
@@ -130,7 +132,7 @@ def interpolate_blocks(points: np.ndarray, values: np.ndarray, f: np.ndarray) ->
             prod = _MUL[_rows(fs, x[k]) | c[k + 1 :]]
             c[k] = prod[0] ^ d[k]
             c[k + 1 : m - 1] ^= prod[1:]
-    return out.T
+    return out
 
 
 def interpolate_at_zero(points: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -165,7 +167,7 @@ def keystream_blocks(
     block_start: int,
     nblocks: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Masks (B, m), points (B, n) and field indices (B,) of a block run.
+    """Masks (B, m), points (n, B) and field indices (B,) of a block run.
 
     A block's words are its m mask words, then n point words, then
     EXTRA_WORDS field words.  With one seed all of them come from main,
@@ -186,11 +188,11 @@ def keystream_blocks(
 def split_payloads(
     padded: bytes, params: shamir.SchemeParams, main: RrsgStream, aux: RrsgStream | None
 ) -> list[bytes]:
-    """Transform padded plaintext into n per-share payload columns."""
+    """Transform padded plaintext into n per-share payloads, one per row of values."""
     data = np.frombuffer(padded, dtype=np.uint8).reshape(-1, params.m)
     mask, x, f = keystream_blocks(params, main, aux, 0, len(data))
-    y = eval_blocks(data ^ mask, x, f)
-    return [y[:, i].tobytes() for i in range(params.n)]
+    coeffs = np.bitwise_xor(data.T, mask.T, order="C")
+    return [row.tobytes() for row in eval_blocks(coeffs, x, f)]
 
 
 def recover_padded(
@@ -201,11 +203,8 @@ def recover_padded(
     aux: RrsgStream | None,
     block_start: int,
 ) -> bytes:
-    """Invert split_payloads for m payload columns from block_start on.
-
-    indices are the share indices of the columns, in the same order.
-    """
+    """Invert split_payloads from block_start on; indices name the payloads' shares."""
     mask, x, f = keystream_blocks(params, main, aux, block_start, len(payloads[0]))
-    ys = np.stack([np.frombuffer(p, dtype=np.uint8) for p in payloads], axis=1)
-    coeffs = interpolate_blocks(x[:, indices], ys, f)
-    return (coeffs ^ mask).tobytes()
+    ys = np.frombuffer(b"".join(payloads), dtype=np.uint8).reshape(len(payloads), -1)
+    coeffs = interpolate_blocks(x[indices], ys, f)
+    return np.bitwise_xor(coeffs.T, mask, order="C").tobytes()

@@ -8,7 +8,8 @@ they drive lives in _engine.
 
 split_key and recover_key share the keystream seeds themselves with
 classic per-byte Shamir over the canonical field, run by the same
-vectorized engine.
+vectorized engine: each key byte is a block, so key share j is row j of
+its (n, len(key)) values.
 """
 
 import secrets
@@ -65,10 +66,10 @@ def split_key(key: bytes, n: int, m: int) -> list[bytes]:
         raise ValueError(f"invalid parameters n={n}, m={m}")
     entropy = secrets.token_bytes(len(key) * (m - 1))
     rest = np.frombuffer(entropy, dtype=np.uint8).reshape(len(key), m - 1)
-    coeffs = np.column_stack((np.frombuffer(key, dtype=np.uint8), rest))
-    xs = np.broadcast_to(np.arange(1, n + 1, dtype=np.uint8), (len(key), n))
+    coeffs = np.vstack((np.frombuffer(key, dtype=np.uint8), rest.T))
+    xs = np.broadcast_to(np.arange(1, n + 1, dtype=np.uint8)[:, None], (n, len(key)))
     ys = _engine.eval_blocks(coeffs, xs, np.zeros(len(key), dtype=np.intp))
-    return [ys[:, j].tobytes() for j in range(n)]
+    return [row.tobytes() for row in ys]
 
 
 def recover_key(shares: Sequence[tuple[int, bytes]], m: int) -> bytes:

@@ -1,5 +1,6 @@
 """End-to-end pipeline tests, including the scalar reference cross-checks."""
 
+import hashlib
 import itertools
 import secrets
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
+from sbshare._engine import _SLICE_WORDS
 from sbshare.rrsg import Algorithm
 from sbshare.scheme import (
     PaddingError,
@@ -20,6 +22,7 @@ from sbshare.scheme import (
     unpad,
 )
 from sbshare.shamir import EXTRA_WORDS, FieldPolicy, SchemeParams
+from sbshare.share_format import encode_share
 
 ALL_MODES = [
     (algorithm, policy, dual)
@@ -164,6 +167,68 @@ class TestReferencePipeline:
                 key_material, Algorithm.CHACHA20, params, pad(message, m)
             )
             assert [s.payload for s in shares] == expected
+
+
+class TestSliceSeams:
+    """Whole pipelines over messages that run past the engine's slice seams."""
+
+    @pytest.mark.parametrize("n,m", [(5, 3), (32, 16)])
+    def test_combine_and_ranges_across_seams(self, n, m):
+        step = _SLICE_WORDS // m
+        nblocks = 2 * step + 5
+        params = SchemeParams(n=n, m=m, dual_seed=True)
+        message = secrets.token_bytes(nblocks * m - 1)
+        shares = split(message, params)
+        assert shares[0].block_count == nblocks
+        subset = secrets.SystemRandom().sample(shares, m)
+        while sorted(s.share_index for s in subset) == list(range(m)):
+            subset = secrets.SystemRandom().sample(shares, m)
+        assert combine(subset) == message
+        padded = pad(message, m)
+        for start, count in ((step - 3, 7), (1, nblocks - 2), (2 * step - 1, 3)):
+            got = recover_range(subset, start, count)
+            assert got == padded[start * m : (start + count) * m]
+
+
+#: SHA-256 over the encoded shares, a combine and a range read of every
+#: configuration of TestKnownAnswer, with its fixed entropy stream.
+KNOWN_ANSWER_SHA256 = "b2635fb5cd65524a5ddea975422ea759106c82dfdb53cc87953ad80e99d39ba6"
+
+
+class TestKnownAnswer:
+    """Shares and recovered bytes are pinned for fixed entropy.
+
+    Block counts end one before, on or one after the second slice seam
+    of the evaluation (2 * (2^15 // n) blocks) and the first of the
+    interpolation (2^15 // m blocks) at the engine's 2^15-word slices,
+    so a change of slicing or array layout that alters a single share
+    or recovered byte fails here.
+    """
+
+    def test_shares_combine_and_range(self, monkeypatch):
+        calls = itertools.count()
+        monkeypatch.setattr(
+            secrets,
+            "token_bytes",
+            lambda k: hashlib.shake_256(b"sbshare known answer %d" % next(calls)).digest(k),
+        )
+        digest = hashlib.sha256()
+        for n, m in ((1, 1), (5, 3), (32, 16), (255, 128)):
+            for k, (algorithm, policy, dual) in enumerate(ALL_MODES):
+                params = SchemeParams(n=n, m=m, field_policy=policy, dual_seed=dual)
+                offset = k % 3 - 1
+                seams = {2 * ((1 << 15) // n), (1 << 15) // m}
+                for nblocks in sorted(seam + offset for seam in seams):
+                    message = secrets.token_bytes(nblocks * m - 1)
+                    shares = split(message, params, algorithm=algorithm)
+                    subset = (shares[1::2] + shares[::2])[:m]
+                    recovered = combine(subset)
+                    assert recovered == message
+                    for share in shares:
+                        digest.update(encode_share(share))
+                    digest.update(recovered)
+                    digest.update(recover_range(subset, nblocks // 3, nblocks // 2))
+        assert digest.hexdigest() == KNOWN_ANSWER_SHA256
 
 
 class TestShareSetValidation:

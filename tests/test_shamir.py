@@ -72,7 +72,7 @@ class TestMaskWords:
 
 def engine_points(words: bytes) -> tuple[int, ...]:
     """_engine.derive_points on a single row."""
-    return tuple(_engine.derive_points(np.frombuffer(words, np.uint8)[None, :])[0].tolist())
+    return tuple(_engine.derive_points(np.frombuffer(words, np.uint8)[None, :])[:, 0].tolist())
 
 
 def engine_field(words: bytes, policy: FieldPolicy) -> gf.FieldSpec:
