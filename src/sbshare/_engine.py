@@ -9,17 +9,15 @@ row i of the values is share i's payload.  Only the keystream words are
 block-major, (B, words), in the layout keystream_blocks alone knows;
 split_payloads and recover_padded transpose the plaintext at the edge.
 
-A product in field f is one gather, a * b = _MUL[f << 16 | a << 8 | b],
-and so is a quotient, a / b = _DIV[f << 16 | a << 8 | b].  A field's two
-256x256 tables are built together from its exp/log tables on its first
-use, since building all 30 would add tens of milliseconds to a first
-small operation.  Interpolation is Newton's divided differences (Knuth,
-TAOCP Vol. 2, 4.6.4), m(m - 1) gathers per block.
+All arithmetic runs in field 0, one gather from a 64 KiB table per
+product, a * b = _MUL[a << 8 | b], or quotient, a / b = _DIV[a << 8 | b].
+The 30 fields are isomorphic (Lidl & Niederreiter, Finite Fields, Thm
+2.5), so a kernel maps each block's words into field 0 through its
+field's GF(2)-linear isomorphism, _TO0[f << 8 | a] = phi_f(a), and its
+results back through _FROM0.  Interpolation is Newton's divided
+differences (Knuth, TAOCP Vol. 2, 4.6.4), m(m - 1) gathers per block.
 Both transforms work in slices of _SLICE_WORDS words that keep their
-intp index temporaries (eight bytes per word) a fixed size rather than
-a multiple of the message.  Point derivation works over the whole run:
-each new point is compared with the earlier points of every block at
-once, and only the blocks where it collides are probed further.
+uint16 index temporaries a fixed size.
 """
 
 from __future__ import annotations
@@ -30,24 +28,31 @@ from . import gf, shamir
 from .rrsg import RrsgStream
 
 _SLICE_WORDS = 1 << 15
-_FIELDS = gf.count_irreducible(gf.FIELD_DEGREE)
-_MUL = np.zeros(_FIELDS << 16, dtype=np.uint8)
-_DIV = np.zeros(_FIELDS << 16, dtype=np.uint8)  # a / 0 stays 0
-_BUILT = _DIV[0x101 :: 1 << 16]  # each field's 1 / 1, written last by _build_tables
 
 
-def _build_tables(f: np.ndarray) -> None:
-    """Build the tables of every field index in f that are not built yet."""
-    for i in np.flatnonzero((np.bincount(f, minlength=_FIELDS) > 0) & (_BUILT == 0)):
-        t = gf.tables_for(gf.field_by_index(int(i)))
-        exp, log = np.array(t.exp * 2, dtype=np.uint8), np.array(t.log[1:], dtype=np.intp)
-        _MUL[i << 16 : (i + 1) << 16].reshape(256, 256)[1:, 1:] = exp[log[:, None] + log]
-        _DIV[i << 16 : (i + 1) << 16].reshape(256, 256)[1:, 1:] = exp[log[:, None] + (255 - log)]
+def _rows(a: np.ndarray) -> np.ndarray:
+    """Offsets into _MUL or _DIV of the rows of a."""
+    return np.left_shift(a, 8, dtype=np.uint16)
 
 
-def _rows(f: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Offsets into _MUL or _DIV of the rows of a in fields f (broadcast)."""
-    return np.left_shift(a, 8, dtype=np.intp) | (f << 16)
+def _field0_tables() -> tuple[np.ndarray, ...]:
+    """_MUL, _DIV (a / 0 is 0), _TO0 and _FROM0; phi_f(t) is the least root of p_f."""
+    t = gf.tables_for(gf.field_by_index(0))
+    exp, log = np.array(t.exp * 2, dtype=np.uint8), np.array(t.log[1:], dtype=np.intp)
+    mul, div = np.zeros((2, 256, 256), dtype=np.uint8)
+    mul[1:, 1:] = exp[log[:, None] + log]
+    div[1:, 1:] = exp[log[:, None] + (255 - log)]
+    word, power = np.arange(256), np.ones(256, dtype=np.uint8)
+    at = np.zeros((256, 512), dtype=np.uint8)  # [b, a] = a, a polynomial in t, at t = b
+    for i in range(9):
+        at[:, 1 << i : 2 << i] = at[:, : 1 << i] ^ power[:, None]
+        power = mul[power, word]
+    polys = [g.reduction_poly for g in gf.canonical_fields()]  # p_f, field f's polynomial
+    to0 = at[(at[:, polys] == 0).argmax(axis=0), :256]
+    return mul.ravel(), div.ravel(), to0.ravel(), to0.argsort(axis=1).astype(np.uint8).ravel()
+
+
+_MUL, _DIV, _TO0, _FROM0 = _field0_tables()
 
 
 def _slices(nblocks: int, width: int):
@@ -86,27 +91,31 @@ def derive_points(point_words: np.ndarray) -> np.ndarray:
 
 
 def field_indices(field_words: np.ndarray, policy: shamir.FieldPolicy) -> np.ndarray:
-    """(B, 4) words -> (B,) canonical field indices.
+    """(B, 4) words -> (B,) canonical field indices, as uint8.
 
     A block's four words are one big-endian 32-bit integer, taken
     modulo the number of fields.
     """
     if policy == shamir.FieldPolicy.FIXED_CANONICAL:
-        return np.zeros(field_words.shape[0], dtype=np.intp)
-    packed = np.ascontiguousarray(field_words).view(">u4")[:, 0]
-    return (packed % np.uint32(_FIELDS)).astype(np.intp)
+        return np.zeros(field_words.shape[0], dtype=np.uint8)
+    w = field_words  # 2^8, 2^16 and 2^24 are all 16 modulo 30: sum the columns in place
+    total = (np.add(w[:, 0], w[:, 1], dtype=np.uint16) + w[:, 2] << 4) + w[:, 3]
+    return (total % gf.field_count()).astype(np.uint8)
 
 
 def eval_blocks(coeffs: np.ndarray, points: np.ndarray, f: np.ndarray) -> np.ndarray:
     """Horner evaluation: (m, B) coeffs at (n, B) points -> (n, B) words."""
-    _build_tables(f)
     out = np.empty(points.shape, dtype=np.uint8)
     for s in _slices(points.shape[1], len(points)):
-        c, rows = coeffs[:, s], _rows(f[s], points[:, s])
-        acc = np.broadcast_to(c[-1], rows.shape)
+        fs = f[s].astype(np.uint16) << 8
+        # a C-order index makes F-order coeffs cost one copy, not a strided row per step
+        c = _TO0.take(np.bitwise_or(fs, coeffs[:, s], order="C"))
+        x = _rows(_TO0.take(fs | points[:, s]))
+        acc = c[-1]
         for k in range(len(c) - 2, -1, -1):
-            acc = _MUL[rows + acc] ^ c[k]
-        out[:, s] = acc
+            acc = _MUL.take(x | acc)
+            acc ^= c[k]
+        out[:, s] = _FROM0.take(fs | acc)
     return out
 
 
@@ -116,22 +125,21 @@ def interpolate_blocks(points: np.ndarray, values: np.ndarray, f: np.ndarray) ->
     Points within a column must be distinct and nonzero (guaranteed by
     derive_points).  Level l turns d_i into f[x_{i-l} .. x_i]; Horner's
     rule on the Newton form d_0 + (z + x_0)(d_1 + (z + x_1)(d_2 + ...)),
-    innermost first, then turns d into the monomial coefficients.
+    innermost first, then turns d in place into the monomial coefficients,
+    z^j at row k + j, so multiplying by z moves no row.
     """
-    _build_tables(f)
     m, nblocks = points.shape
     out = np.empty((m, nblocks), dtype=np.uint8)
     for s in _slices(nblocks, m):
-        fs, x, d = f[s], points[:, s], values[:, s].copy()
+        fs = f[s].astype(np.uint16) << 8
+        x, d = _TO0.take(fs | points[:, s]), _TO0.take(fs | values[:, s])
         for l in range(1, m):
-            d[l:] = _DIV[_rows(fs, d[l:] ^ d[l - 1 : -1]) | (x[l:] ^ x[: m - l])]
-        # c holds z^j at row k + j: multiplying by z moves no row
-        c = out[:, s]
-        c[m - 1] = d[m - 1]
+            d[l:] = _DIV.take(_rows(d[l:] ^ d[l - 1 : -1]) | (x[l:] ^ x[: m - l]))
         for k in range(m - 2, -1, -1):
-            prod = _MUL[_rows(fs, x[k]) | c[k + 1 :]]
-            c[k] = prod[0] ^ d[k]
-            c[k + 1 : m - 1] ^= prod[1:]
+            prod = _MUL.take(_rows(x[k]) | d[k + 1 :])
+            d[k] ^= prod[0]
+            d[k + 1 : m - 1] ^= prod[1:]
+        out[:, s] = _FROM0.take(fs | d)
     return out
 
 
@@ -143,15 +151,13 @@ def interpolate_at_zero(points: np.ndarray, values: np.ndarray) -> np.ndarray:
     l_i(0) = prod_{j != i} x_j / (x_i + x_j), are the same for every
     column, so each result word costs m products and one XOR reduction.
     """
-    _build_tables(np.zeros(1, dtype=np.intp))
-    x = points.astype(np.intp)
-    frac = _DIV[_rows(0, x) | (x[:, None] ^ x)]  # [i, j] = x_j / (x_i + x_j)
+    frac = _DIV.take(_rows(points) | (points[:, None] ^ points))  # [i, j] = x_j / (x_i + x_j)
     np.fill_diagonal(frac, 1)
     while frac.shape[1] > 1:  # multiply the columns together, halving each pass
         half = frac.shape[1] // 2
-        pairs = _MUL[_rows(0, frac[:, :half]) | frac[:, half : 2 * half]]
+        pairs = _MUL.take(_rows(frac[:, :half]) | frac[:, half : 2 * half])
         frac = np.concatenate((pairs, frac[:, 2 * half :]), axis=1)
-    return np.bitwise_xor.reduce(_MUL[_rows(0, frac) | values], axis=0)
+    return np.bitwise_xor.reduce(_MUL.take(_rows(frac) | values), axis=0)
 
 
 def _read_rows(stream: RrsgStream, block_start: int, nblocks: int, width: int) -> np.ndarray:

@@ -68,7 +68,7 @@ def split_key(key: bytes, n: int, m: int) -> list[bytes]:
     rest = np.frombuffer(entropy, dtype=np.uint8).reshape(len(key), m - 1)
     coeffs = np.vstack((np.frombuffer(key, dtype=np.uint8), rest.T))
     xs = np.broadcast_to(np.arange(1, n + 1, dtype=np.uint8)[:, None], (n, len(key)))
-    ys = _engine.eval_blocks(coeffs, xs, np.zeros(len(key), dtype=np.intp))
+    ys = _engine.eval_blocks(coeffs, xs, np.zeros(len(key), dtype=np.uint8))
     return [row.tobytes() for row in ys]
 
 

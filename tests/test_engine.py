@@ -64,20 +64,24 @@ def test_interpolate_leaves_read_only_inputs_unchanged(n, m):
     assert buf.tobytes() == raw.tobytes()
 
 
-def test_division_table_matches_field_tables():
-    nfields = gf.field_count()
-    _engine._build_tables(np.arange(nfields))
-    div = _engine._DIV.reshape(nfields, 256, 256)
-    mul = _engine._MUL.reshape(nfields, 256, 256)
-    a, b = np.arange(256)[:, None], np.arange(1, 256)
-    for f in range(nfields):
+def test_field_tables_through_isomorphisms_match_every_field():
+    # field 0's tables, read through phi_f and its inverse, give field
+    # f's products and quotients for every pair of words, a / 0 being 0
+    to0, from0 = _engine._TO0.reshape(-1, 256), _engine._FROM0.reshape(-1, 256)
+    assert len(to0) == gf.field_count()
+    assert to0[0].tolist() == list(range(256))
+    a, b = np.arange(256)[:, None], np.arange(256)
+    for f, phi in enumerate(to0):
+        assert sorted(phi.tolist()) == list(range(256)) and phi[1] == 1
+        assert np.array_equal(phi[a ^ b], phi[a] ^ phi[b])
+        assert from0[f, phi].tolist() == list(range(256))
         t = gf.tables_for(gf.field_by_index(f))
-        inverse = [t.inv(int(v)) for v in b]
-        expected = [[t.mul(x, inv) for inv in inverse] for x in range(256)]
-        assert div[f, :, 1:].tolist() == expected
-        assert np.array_equal(mul[f, div[f, :, 1:], b], np.broadcast_to(a, (256, 255)))
-        assert not div[f, :, 0].any()
-    assert _engine._BUILT.tolist() == [1] * nfields
+        inverse = [0] + [t.inv(y) for y in range(1, 256)]
+        index = phi[a].astype(np.intp) << 8 | phi[b]
+        products = from0[f, _engine._MUL[index]].tolist()
+        assert products == [[t.mul(x, y) for y in range(256)] for x in range(256)]
+        quotients = from0[f, _engine._DIV[index]].tolist()
+        assert quotients == [[t.mul(x, i) for i in inverse] for x in range(256)]
 
 
 def test_no_blocks():
