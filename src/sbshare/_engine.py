@@ -37,12 +37,15 @@ def _rows(a: np.ndarray) -> np.ndarray:
 
 def _field0_tables() -> tuple[np.ndarray, ...]:
     """_MUL, _DIV (a / 0 is 0), _TO0 and _FROM0; phi_f(t) is the least root of p_f."""
-    t = gf.tables_for(gf.field_by_index(0))
-    exp, log = np.array(t.exp * 2, dtype=np.uint8), np.array(t.log[1:], dtype=np.intp)
-    mul, div = np.zeros((2, 256, 256), dtype=np.uint8)
-    mul[1:, 1:] = exp[log[:, None] + log]
-    div[1:, 1:] = exp[log[:, None] + (255 - log)]
-    word, power = np.arange(256), np.ones(256, dtype=np.uint8)
+    word = np.arange(256, dtype=np.uint16)
+    prod = np.zeros((256, 256), dtype=np.uint16)
+    for i in range(8):  # carry-less product: a << i wherever bit i of b is set
+        prod ^= (word[:, None] << i) * (word >> i & 1)
+    for i in range(14, 7, -1):  # clear bits 14..8 with field 0's polynomial
+        prod ^= (prod >> i & 1) * np.uint16(gf.field_by_index(0).reduction_poly << (i - 8))
+    mul = prod.astype(np.uint8)
+    div = mul[:, (mul == 1).argmax(axis=0)]  # column 0 has no 1: row 0 gives a / 0 = a * 0
+    power = np.ones(256, dtype=np.uint8)
     at = np.zeros((256, 512), dtype=np.uint8)  # [b, a] = a, a polynomial in t, at t = b
     for i in range(9):
         at[:, 1 << i : 2 << i] = at[:, : 1 << i] ^ power[:, None]

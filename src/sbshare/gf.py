@@ -1,4 +1,4 @@
-"""GF(2^8) arithmetic under any of its 30 irreducible reduction polynomials.
+"""The catalogue of GF(2^8)'s 30 representations, one per reduction polynomial.
 
 Field elements are bytes (ints in 0..255) whose binary digits are the
 coefficients of a polynomial over GF(2); bit i is the coefficient of x^i.
@@ -9,10 +9,9 @@ For example 0x11B is x^8 + x^4 + x^3 + x + 1.
 All 30 such polynomials yield isomorphic (but bitwise incompatible)
 representations of GF(2^8).  They are enumerated in ascending order of
 their integer encoding; a field's position in that list is its canonical
-index.  Index 0 (0x11B) is the representation used for key splitting.
-
-Everything in this module is a pure function of its inputs; FieldTables
-values are immutable and safe to share across threads.
+index.  Index 0 (0x11B) is the field that all arithmetic runs in: key
+splitting directly, and every other field's blocks through an
+isomorphism onto it (sbshare._engine holds its tables).
 """
 
 import functools
@@ -107,13 +106,6 @@ def canonical_fields() -> tuple[FieldSpec, ...]:
     return fields
 
 
-def enumerate_irreducible(degree: int = FIELD_DEGREE) -> list[FieldSpec]:
-    """Ordered list of all irreducible degree-8 reduction polynomials as fields."""
-    if degree != FIELD_DEGREE:
-        raise ValueError("only degree 8 is supported")
-    return list(canonical_fields())
-
-
 def field_count() -> int:
     return len(canonical_fields())
 
@@ -124,93 +116,3 @@ def field_by_index(index: int) -> FieldSpec:
     if not 0 <= index < len(fields):
         raise ValueError(f"field index {index} out of range 0..{len(fields) - 1}")
     return fields[index]
-
-
-def gf_mul(field: FieldSpec, a: int, b: int) -> int:
-    """Shift-and-reduce product of a and b modulo the reduction polynomial."""
-    poly = field.reduction_poly
-    acc = 0
-    while b:
-        if b & 1:
-            acc ^= a
-        b >>= 1
-        a <<= 1
-        if a & 0x100:
-            a ^= poly
-    return acc
-
-
-def gf_pow(field: FieldSpec, a: int, e: int) -> int:
-    """a raised to a non-negative integer power, by square and multiply."""
-    if e < 0:
-        raise ValueError("negative exponent")
-    acc = 1
-    while e:
-        if e & 1:
-            acc = gf_mul(field, acc, a)
-        a = gf_mul(field, a, a)
-        e >>= 1
-    return acc
-
-
-# The multiplicative group has 255 elements; its proper maximal subgroups
-# have orders 255/3, 255/5 and 255/17.  An element is a generator iff none
-# of these powers collapse to 1.
-_SUBGROUP_ORDERS = (85, 51, 15)
-
-#: Sentinel stored at log[0]: zero has no discrete logarithm.  Multiplication
-#: must branch on zero operands before any table lookup.
-LOG_UNDEFINED = None
-
-
-@dataclass(frozen=True)
-class FieldTables:
-    """Discrete log/exp lookup tables for one field representation.
-
-    exp[k] = g^k for k in 0..254; log[exp[k]] = k; log[0] is LOG_UNDEFINED.
-    The generator g is the smallest element of multiplicative order 255,
-    which makes the tables identical across conforming implementations.
-    """
-
-    field: FieldSpec
-    exp: tuple[int, ...]
-    log: tuple
-    generator: int
-
-    def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        return self.exp[(self.log[a] + self.log[b]) % 255]
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("0 has no multiplicative inverse")
-        return self.exp[(255 - self.log[a]) % 255]
-
-
-def build_tables(field: FieldSpec) -> FieldTables:
-    """Construct exp/log tables for a field.
-
-    The group of units is cyclic of order 255, so a generator always
-    exists; x (0x02) is not one in every representation, hence the search.
-    """
-    generator = 0
-    for g in range(2, 256):
-        if all(gf_pow(field, g, e) != 1 for e in _SUBGROUP_ORDERS):
-            generator = g
-            break
-    exp = [0] * 255
-    log: list = [LOG_UNDEFINED] * 256
-    acc = 1
-    for k in range(255):
-        exp[k] = acc
-        log[acc] = k
-        acc = gf_mul(field, acc, generator)
-    assert acc == 1  # g^255 wraps to the identity
-    return FieldTables(field, tuple(exp), tuple(log), generator)
-
-
-@functools.lru_cache(maxsize=None)
-def tables_for(field: FieldSpec) -> FieldTables:
-    """Cached tables; FieldTables is immutable so sharing is safe."""
-    return build_tables(field)

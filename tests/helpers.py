@@ -4,8 +4,11 @@ Holds the scalar block oracle - one block at a time, in plain Python,
 the specification that the library's vectorized engine must match -
 the reference pipelines built from it, independent arithmetic oracles,
 and the brute-force consistency counters used by the secrecy checks.
-The oracle uses only gf's exp/log tables and solves by Gauss-Jordan
-elimination, so it shares no code or algorithm with sbshare._engine.
+The oracle multiplies by shift_reduce_mul, carry-less multiplication
+reduced by each field's own polynomial, and solves by Gauss-Jordan
+elimination, so it shares no arithmetic or algorithm with the library,
+which computes every field in field 0 through isomorphisms.  Of
+sbshare.gf it reads only the catalogue of fields.
 """
 
 from functools import lru_cache
@@ -13,8 +16,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from sbshare import gf
-from sbshare.gf import FieldSpec, field_by_index, field_count, tables_for
+from sbshare.gf import FieldSpec, canonical_fields, field_by_index, field_count
 from sbshare.rrsg import SEED_LEN, Algorithm, Seed, new_stream
 from sbshare.scheme import Share
 from sbshare.shamir import EXTRA_WORDS, FieldPolicy, SchemeParams
@@ -88,12 +90,12 @@ def eval_block(coeffs: bytes | Sequence[int], points: Sequence[int], field: Fiel
         raise ValueError("empty coefficient vector")
     if any(x == 0 for x in points):
         raise ValueError("evaluation points must be nonzero")
-    t = tables_for(field)
+    mul = mul_rows(field)
     out = bytearray(len(points))
     for j, x in enumerate(points):
         acc = coeffs[-1]
         for k in range(len(coeffs) - 2, -1, -1):
-            acc = t.mul(acc, x) ^ coeffs[k]
+            acc = mul[acc][x] ^ coeffs[k]
         out[j] = acc
     return bytes(out)
 
@@ -114,13 +116,13 @@ def interpolate_block(
         raise InterpolationError("evaluation points must be nonzero")
     if len(set(points)) != m:
         raise InterpolationError("duplicate evaluation points make the system singular")
-    t = tables_for(field)
+    mul = mul_rows(field)
     # rows: [x^0, x^1, .., x^(m-1) | y]
     aug = []
     for x, y in zip(points, values):
         row = [1] * m + [y]
         for j in range(1, m):
-            row[j] = t.mul(row[j - 1], x)
+            row[j] = mul[row[j - 1]][x]
         aug.append(row)
     for k in range(m):
         if aug[k][k] == 0:
@@ -130,12 +132,12 @@ def interpolate_block(
                     break
             else:
                 raise InterpolationError("singular interpolation system")
-        inv = t.inv(aug[k][k])
-        aug[k] = [t.mul(v, inv) for v in aug[k]]
+        inv = gf_inv(field, aug[k][k])
+        aug[k] = [mul[v][inv] for v in aug[k]]
         for r in range(m):
             if r != k and aug[r][k]:
                 f = aug[r][k]
-                aug[r] = [v ^ t.mul(w, f) for v, w in zip(aug[r], aug[k])]
+                aug[r] = [v ^ mul[w][f] for v, w in zip(aug[r], aug[k])]
     return bytes(row[m] for row in aug)
 
 
@@ -162,12 +164,24 @@ def shift_reduce_mul(a, b, poly: int) -> np.ndarray:
     return prod.astype(np.uint8)
 
 
+@lru_cache(maxsize=None)
+def mul_table(field: FieldSpec) -> np.ndarray:
+    """Full 256x256 product table of a field, [a, b] = a * b, from shift_reduce_mul."""
+    a = np.arange(256)
+    return shift_reduce_mul(a[:, None], a, field.reduction_poly)
+
+
+@lru_cache(maxsize=None)
+def mul_rows(field: FieldSpec) -> list[list[int]]:
+    """mul_table as nested lists, which scalar code indexes fastest."""
+    return mul_table(field).tolist()
+
+
 def gf_inv(field: FieldSpec, a: int) -> int:
-    """Multiplicative inverse by square and multiply; zero has none."""
+    """Multiplicative inverse, the b whose product with a is 1; zero has none."""
     if a == 0:
         raise ZeroDivisionError("0 has no multiplicative inverse")
-    # a^(2^8 - 2) = a^-1 in a field of 256 elements
-    return gf.gf_pow(field, a, 254)
+    return mul_rows(field)[a].index(1)
 
 
 def ref_poly_mod(a: int, b: int) -> int:
@@ -184,19 +198,6 @@ def ref_is_irreducible_octic(poly: int) -> bool:
     return all(ref_poly_mod(poly, d) != 0 for d in range(2, 32))
 
 
-@lru_cache(maxsize=None)
-def mul_table(field: gf.FieldSpec) -> np.ndarray:
-    """Full 256x256 product table built from the library's exp/log data."""
-    t = gf.tables_for(field)
-    exp = np.array(t.exp, dtype=np.uint8)
-    log = np.zeros(256, dtype=np.int64)
-    log[exp] = np.arange(255)
-    table = exp[(log[:, None] + log[None, :]) % 255]
-    table[0, :] = 0
-    table[:, 0] = 0
-    return table
-
-
 def open_streams(key_material: bytes, algorithm: Algorithm, dual_seed: bool):
     main = new_stream(Seed.from_bytes(key_material[:SEED_LEN]), algorithm)
     if not dual_seed:
@@ -209,7 +210,7 @@ def recovered_key_material(shares: list[Share]) -> bytes:
     m = shares[0].params.m
     chosen = sorted(shares, key=lambda s: s.share_index)[:m]
     xs = tuple(s.share_index + 1 for s in chosen)
-    field = gf.field_by_index(0)
+    field = field_by_index(0)
     return bytes(
         interpolate_block(xs, bytes(s.key_share[i] for s in chosen), field)[0]
         for i in range(len(chosen[0].key_share))
@@ -260,7 +261,7 @@ def reference_padded(shares: list[Share]) -> bytes:
 
 
 def single_seed_consistency_count(
-    field: gf.FieldSpec, y_obs: int, d0: int, d1: int
+    field: FieldSpec, y_obs: int, d0: int, d1: int
 ) -> int:
     """Count (r0, r1, x) assignments explaining one observed share word.
 
@@ -290,7 +291,7 @@ def dual_seed_consistency_count(y_obs: int, r0: int, r1: int, d0: int, d1: int) 
     a1 = r1 ^ d1
     x = np.arange(1, 256, dtype=np.intp)
     count = 0
-    for field in gf.canonical_fields():
+    for field in canonical_fields():
         count += int((a0 ^ mul_table(field)[a1, x] == y_obs).sum())
     return count
 
@@ -328,4 +329,4 @@ def dual_seed_counts(pairs: int) -> tuple[list[int], int]:
     counts = [
         dual_seed_consistency_count(y_obs, r0, r1, c0, c1) for c0, c1 in count_pairs
     ]
-    return counts, gf.field_count()
+    return counts, field_count()

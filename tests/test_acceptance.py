@@ -16,7 +16,7 @@ import zlib
 import numpy as np
 
 import helpers
-from sbshare import gf
+from sbshare import _engine, gf
 from sbshare.rrsg import KEY_LEN, NONCE_LEN, Algorithm, Seed, new_stream
 from sbshare.scheme import Share, combine, pad, recover_range, split
 from sbshare.shamir import FieldPolicy, SchemeParams
@@ -48,7 +48,7 @@ def report(criterion: int, detail: str, started: float) -> None:
 def test_criterion_01_irreducible_counts_and_enumeration():
     started = time.perf_counter()
     assert [gf.count_irreducible(d) for d in range(4, 17)] == TABLE_COUNTS
-    fields = gf.enumerate_irreducible(8)
+    fields = gf.canonical_fields()
     assert len(fields) == 30
     for spec in fields:
         assert helpers.ref_is_irreducible_octic(spec.reduction_poly)
@@ -58,20 +58,22 @@ def test_criterion_01_irreducible_counts_and_enumeration():
 
 
 def test_criterion_02_field_arithmetic_oracle_equivalence():
+    # the library's route in field f: into field 0 through phi_f, one
+    # gather from field 0's _MUL or _DIV, back through phi_f's inverse
     started = time.perf_counter()
+    to0, from0 = _engine._TO0.reshape(-1, 256), _engine._FROM0.reshape(-1, 256)
     a = np.arange(256, dtype=np.uint16)
     grid_a, grid_b = np.meshgrid(a, a, indexing="ij")
+    nz = a[1:]
     for index, spec in enumerate(gf.canonical_fields()):
-        table_route = helpers.mul_table(spec)
+        phi = to0[index].astype(np.intp)
+        live = from0[index, _engine._MUL[phi[grid_a] << 8 | phi[grid_b]]]
         oracle = helpers.shift_reduce_mul(grid_a, grid_b, spec.reduction_poly)
-        assert (table_route == oracle).all(), f"field {index} multiplication mismatch"
-        t = gf.tables_for(spec)
-        exp = np.array(t.exp, dtype=np.uint8)
-        log = np.zeros(256, dtype=np.int64)
-        log[exp] = np.arange(255)
-        nz = np.arange(1, 256)
-        inv = exp[(255 - log[nz]) % 255]
-        assert (table_route[nz, inv] == 1).all(), f"field {index} inverse mismatch"
+        assert (live == oracle).all(), f"field {index} multiplication mismatch"
+        inv = from0[index, _engine._DIV[phi[1] << 8 | phi[nz]]]
+        assert (helpers.shift_reduce_mul(nz, inv, spec.reduction_poly) == 1).all(), (
+            f"field {index} inverse mismatch"
+        )
     elapsed = time.perf_counter() - started
     assert elapsed < 10.0, f"runtime budget exceeded: {elapsed:.2f}s"
     report(2, "30 fields x 65536 pairs equal; all inverses verified", started)

@@ -1,18 +1,33 @@
-"""Field arithmetic, enumeration, and table tests."""
+"""The field catalogue, and the library's arithmetic checked in every field.
 
-import numpy as np
+A product in field f takes the library's route: into field 0 through
+phi_f (_engine._TO0), one gather from field 0's _MUL, and back through
+_FROM0; a quotient gathers from _DIV instead.
+"""
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import gf_inv, ref_is_irreducible_octic, shift_reduce_mul
-from sbshare import gf
+from sbshare import _engine, gf
 
 # Published irreducible-polynomial counts for GF(2^d), d = 4..16.
 TABLE_COUNTS = [3, 6, 9, 18, 30, 56, 99, 186, 335, 630, 1161, 2182, 4080]
 
 words = st.integers(min_value=0, max_value=255)
-field_specs = st.integers(min_value=0, max_value=29).map(gf.field_by_index)
+field_indices = st.integers(min_value=0, max_value=29)
+_TO0, _FROM0 = _engine._TO0.reshape(-1, 256), _engine._FROM0.reshape(-1, 256)
+
+
+def mul(f: int, a: int, b: int) -> int:
+    """a * b in field f, along the library's route."""
+    return int(_FROM0[f, _engine._MUL[int(_TO0[f, a]) << 8 | int(_TO0[f, b])]])
+
+
+def div(f: int, a: int, b: int) -> int:
+    """a / b in field f, along the library's route."""
+    return int(_FROM0[f, _engine._DIV[int(_TO0[f, a]) << 8 | int(_TO0[f, b])]])
 
 
 class TestMobius:
@@ -62,13 +77,13 @@ class TestCountIrreducible:
 
 class TestEnumeration:
     def test_thirty_octics(self):
-        fields = gf.enumerate_irreducible(8)
+        fields = gf.canonical_fields()
         assert len(fields) == 30
         assert len(fields) == gf.count_irreducible(8)
 
     def test_matches_trial_division_scan(self):
         expected = [p for p in range(0x100, 0x200) if ref_is_irreducible_octic(p)]
-        assert [f.reduction_poly for f in gf.enumerate_irreducible(8)] == expected
+        assert [f.reduction_poly for f in gf.canonical_fields()] == expected
 
     def test_sorted_ascending(self):
         polys = [f.reduction_poly for f in gf.canonical_fields()]
@@ -89,10 +104,6 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             gf.field_by_index(-1)
 
-    def test_unsupported_degree(self):
-        with pytest.raises(ValueError):
-            gf.enumerate_irreducible(9)
-
 
 class TestFieldSpec:
     def test_rejects_reducible(self):
@@ -111,35 +122,38 @@ class TestFieldSpec:
 
 class TestMul:
     def test_examples(self):
-        f = gf.field_by_index(0)
-        assert gf.gf_mul(f, 0x57, 0x00) == 0x00
-        assert gf.gf_mul(f, 0x57, 0x01) == 0x57
-        assert gf.gf_mul(f, 0x02, 0x80) == 0x1B
+        # FIPS-197 (AES) known answers in 0x11B, field 0, whose phi is
+        # the identity: on the engine's table and on the oracle
+        for a, b, product in ((0x57, 0x83, 0xC1), (0x57, 0x13, 0xFE), (0x02, 0x80, 0x1B)):
+            assert _engine._MUL[a << 8 | b] == product
+            assert shift_reduce_mul(a, b, 0x11B) == product
+        assert mul(0, 0x57, 0x00) == 0x00
+        assert mul(0, 0x57, 0x01) == 0x57
 
-    @given(field_specs, words, words)
-    def test_matches_independent_oracle(self, field, a, b):
-        assert gf.gf_mul(field, a, b) == int(shift_reduce_mul(a, b, field.reduction_poly))
+    @given(field_indices, words, words)
+    def test_matches_independent_oracle(self, f, a, b):
+        assert mul(f, a, b) == int(shift_reduce_mul(a, b, gf.field_by_index(f).reduction_poly))
 
-    @given(field_specs, words, words)
-    def test_commutative(self, field, a, b):
-        assert gf.gf_mul(field, a, b) == gf.gf_mul(field, b, a)
+    @given(field_indices, words, words)
+    def test_commutative(self, f, a, b):
+        assert mul(f, a, b) == mul(f, b, a)
 
-    @given(field_specs, words, words, words)
-    def test_associative(self, field, a, b, c):
-        left = gf.gf_mul(field, gf.gf_mul(field, a, b), c)
-        right = gf.gf_mul(field, a, gf.gf_mul(field, b, c))
-        assert left == right
+    @given(field_indices, words, words, words)
+    def test_associative(self, f, a, b, c):
+        assert mul(f, mul(f, a, b), c) == mul(f, a, mul(f, b, c))
 
-    @given(field_specs, words, words, words)
-    def test_distributive(self, field, a, b, c):
-        left = gf.gf_mul(field, a, b ^ c)
-        right = gf.gf_mul(field, a, b) ^ gf.gf_mul(field, a, c)
-        assert left == right
+    @given(field_indices, words, words, words)
+    def test_distributive(self, f, a, b, c):
+        assert mul(f, a, b ^ c) == mul(f, a, b) ^ mul(f, a, c)
 
 
 class TestInv:
     def test_examples(self):
+        # FIPS-197 (AES) known answer in 0x11B: {53}^-1 = {CA}
         f = gf.field_by_index(0)
+        assert _engine._DIV[1 << 8 | 0x53] == 0xCA
+        assert shift_reduce_mul(0x53, 0xCA, 0x11B) == 1
+        assert gf_inv(f, 0x53) == 0xCA
         assert gf_inv(f, 0x01) == 0x01
         assert gf_inv(f, 0x02) == 0x8D
 
@@ -148,58 +162,8 @@ class TestInv:
             with pytest.raises(ZeroDivisionError):
                 gf_inv(f, 0)
 
-    @given(field_specs, st.integers(min_value=1, max_value=255))
-    def test_mul_by_inverse_is_one(self, field, a):
-        assert gf.gf_mul(field, a, gf_inv(field, a)) == 1
-
-
-class TestTables:
-    def test_exp_log_invariants(self):
-        for spec in gf.canonical_fields():
-            t = gf.tables_for(spec)
-            assert t.exp[0] == 1
-            assert t.log[t.generator] == 1
-            assert t.log[0] is gf.LOG_UNDEFINED
-            assert len(set(t.exp)) == 255  # generator order is exactly 255
-            for a in range(1, 256):
-                assert t.exp[t.log[a]] == a
-            for k in range(255):
-                assert t.log[t.exp[k]] == k
-
-    def test_generator_is_smallest_order_255(self):
-        for spec in gf.canonical_fields():
-            t = gf.tables_for(spec)
-            for g in range(2, t.generator):
-                order = 1
-                acc = g
-                while acc != 1:
-                    acc = gf.gf_mul(spec, acc, g)
-                    order += 1
-                assert order < 255
-
-    @given(field_specs, words, words)
-    def test_table_mul_matches_gf_mul(self, field, a, b):
-        assert gf.tables_for(field).mul(a, b) == gf.gf_mul(field, a, b)
-
-    @given(field_specs, st.integers(min_value=1, max_value=255))
-    def test_table_inv(self, field, a):
-        assert gf.tables_for(field).inv(a) == gf_inv(field, a)
-
-
-@settings(max_examples=30)
-@given(field_specs, st.integers(min_value=0, max_value=255), st.integers(min_value=0, max_value=600))
-def test_pow_matches_repeated_multiplication(field, a, e):
-    acc = 1
-    for _ in range(e):
-        acc = gf.gf_mul(field, acc, a)
-    assert gf.gf_pow(field, a, e) == acc
-
-
-def test_vectorized_oracle_agrees_with_scalar():
-    # Anchor the numpy shift-and-reduce oracle used by the exhaustive
-    # acceptance check to the scalar library implementation.
-    rng = np.random.default_rng(0)
-    for _ in range(200):
-        field = gf.field_by_index(int(rng.integers(30)))
-        a, b = int(rng.integers(256)), int(rng.integers(256))
-        assert int(shift_reduce_mul(a, b, field.reduction_poly)) == gf.gf_mul(field, a, b)
+    @given(field_indices, st.integers(min_value=1, max_value=255))
+    def test_mul_by_inverse_is_one(self, f, a):
+        inverse = div(f, 1, a)
+        assert mul(f, a, inverse) == 1
+        assert inverse == gf_inv(gf.field_by_index(f), a)
