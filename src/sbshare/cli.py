@@ -5,19 +5,38 @@ Exit codes: 0 success, 1 usage, 2 I/O or malformed share file,
 5 padding failure on recovery.
 
 Share data moves through files only; nothing secret is written to
-stdout or stderr.
+stdout or stderr.  split and combine stream their files a chunk at a
+time, so their memory does not grow with the file, and write every
+output under a temporary name beside its target, renamed into place only
+once all outputs are complete; on any error the temporaries are removed.
 """
 
 import argparse
+import os
 import sys
+import tempfile
+from contextlib import ExitStack, contextmanager, suppress
 from pathlib import Path
+from typing import BinaryIO, NamedTuple
 
 from . import __version__
 from .gf import canonical_fields
 from .rrsg import Algorithm
-from .scheme import PaddingError, ShareSetError, combine, recover_range, split
+from .scheme import PaddingError, ShareSetError, padded_blocks, recover_stream, split_stream
 from .shamir import FieldPolicy, SchemeParams
-from .share_format import FormatError, decode_share, encode_share
+from .share_format import (
+    HEADER_LEN,
+    FormatError,
+    Header,
+    TruncatedError,
+    decode_header,
+    encode_header,
+)
+
+# The CLI streams files and calls none of the whole-message functions,
+# but benchmarks/tracing.py wraps them under these names as well.
+from .scheme import combine, recover_range, split  # noqa: F401
+from .share_format import decode_share, encode_share  # noqa: F401
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -108,6 +127,32 @@ def _build_parser() -> _Parser:
     return parser
 
 
+@contextmanager
+def _atomic_outputs(paths: list[Path]):
+    """Files to write for paths, renamed to them only if the block completes.
+
+    Each file is written under a temporary name in its target's
+    directory; on any error every temporary is removed and no target is
+    touched.
+    """
+    temps: list[tuple[BinaryIO, Path]] = []
+    try:
+        for path in paths:
+            fd, name = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+            temps.append((os.fdopen(fd, "wb"), Path(name)))
+        yield [file for file, _ in temps]
+        for file, _ in temps:
+            file.close()
+        for (_, temp), path in zip(temps, paths):
+            os.replace(temp, path)
+    except BaseException:
+        for file, temp in temps:
+            with suppress(OSError):  # a failed flush: the file is dropped anyway
+                file.close()
+            temp.unlink(missing_ok=True)
+        raise
+
+
 def _cmd_split(args) -> int:
     params = SchemeParams(
         n=args.n,
@@ -120,45 +165,79 @@ def _cmd_split(args) -> int:
     algorithm = _ALGORITHMS[args.rrsg]
     if algorithm == Algorithm.TEST_LCG:
         print(_LCG_WARNING, file=sys.stderr)
-    message = args.input.read_bytes()
     out_dir = args.output_dir if args.output_dir is not None else args.input.parent
-    out_dir.mkdir(parents=True, exist_ok=True)
-    shares = split(message, params, algorithm=algorithm)
-    for share in shares:
-        path = out_dir / f"{args.input.stem}.{share.share_index}.sbs1"
-        path.write_bytes(encode_share(share))
+    paths = [out_dir / f"{args.input.stem}.{i}.sbs1" for i in range(params.n)]
+    with open(args.input, "rb") as source:
+        size = os.fstat(source.fileno()).st_size
+        key_shares, chunks = split_stream(source.read, size, params, algorithm=algorithm)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        with _atomic_outputs(paths) as sinks:
+            for i, (sink, key_share) in enumerate(zip(sinks, key_shares)):
+                head = Header(params, i, algorithm, len(key_share), padded_blocks(size, params.m))
+                sink.write(encode_header(head) + key_share)
+            for values in chunks:
+                for sink, row in zip(sinks, values):
+                    sink.write(row)
+    for path in paths:
         print(path)
     return EXIT_OK
 
 
-def _read_share(path: Path):
-    """Decode one share file; a FormatError names the file at fault."""
+class _ShareFile(NamedTuple):
+    """An open share file: its header fields and key share; the payload stays on disk."""
+
+    path: Path
+    file: BinaryIO
+    params: SchemeParams
+    share_index: int
+    rrsg_algorithm: Algorithm
+    key_share: bytes
+    block_count: int
+
+    def read(self, start: int, count: int) -> bytes:
+        """count payload words from block start."""
+        self.file.seek(HEADER_LEN + len(self.key_share) + start)
+        data = self.file.read(count)
+        if len(data) != count:
+            raise TruncatedError(f"{self.path}: payload ends before block {start + count}")
+        return data
+
+
+def _open_share(path: Path, stack: ExitStack) -> _ShareFile:
+    """Open a share file and read its header; a FormatError names the file at fault."""
+    file = stack.enter_context(open(path, "rb"))
     try:
-        return decode_share(path.read_bytes())
+        head = decode_header(file.read(HEADER_LEN), os.fstat(file.fileno()).st_size)
     except FormatError as exc:
         raise FormatError(f"{path}: {exc}") from exc
+    key_share = file.read(head.key_len)
+    return _ShareFile(
+        path, file, head.params, head.share_index, head.rrsg_algorithm, key_share, head.payload_len
+    )
 
 
 def _cmd_combine(args) -> int:
-    shares = [_read_share(path) for path in args.shares]
-    if args.range is None:
-        data = combine(shares)
-    else:
-        data = recover_range(shares, *args.range)
-    args.output.write_bytes(data)
-    print(f"{args.output}: {len(data)} bytes")
+    with ExitStack() as stack:
+        shares = [_open_share(path, stack) for path in args.shares]
+        chunks = recover_stream(shares, _ShareFile.read, args.range)
+        written = 0
+        with _atomic_outputs([args.output]) as (sink,):
+            for chunk in chunks:
+                written += sink.write(chunk)
+    print(f"{args.output}: {written} bytes")
     return EXIT_OK
 
 
 def _cmd_inspect(args) -> int:
-    share = _read_share(args.share)
+    with ExitStack() as stack:
+        share = _open_share(args.share, stack)
     params = share.params
     policy = "fixed-canonical" if params.field_policy == FieldPolicy.FIXED_CANONICAL else "random-per-block"
     print(f"{args.share}:")
     print(f"  n: {params.n}  m: {params.m}  share_index: {share.share_index}")
     print(f"  rrsg: {_ALGORITHM_NAMES[share.rrsg_algorithm]}")
     print(f"  dual_seed: {'yes' if params.dual_seed else 'no'}  field_policy: {policy}")
-    print(f"  key_share: {len(share.key_share)} bytes  payload: {len(share.payload)} bytes")
+    print(f"  key_share: {len(share.key_share)} bytes  payload: {share.block_count} bytes")
     return EXIT_OK
 
 

@@ -241,3 +241,22 @@ def new_stream(seed: Seed, algorithm: Algorithm | int) -> RrsgStream:
     except ValueError:
         raise ValueError(f"unknown keystream algorithm id {algorithm!r}") from None
     return _STREAM_CLASSES[alg](seed)
+
+
+def check_capacity(algorithm: Algorithm | int, nblocks: int, widths: tuple[int, ...]) -> None:
+    """Raise ValueError unless each stream of an op holds nblocks blocks from word 0.
+
+    widths are the words per block that each stream gives.  ChaCha20's
+    32-bit block counter ends a stream after 2^38 words; the test LCG
+    never ends.  Ops call this before reading any word, so a message too
+    long for its keystream fails before any work; _ChaCha20Stream._words
+    keeps its own check as the last guard.
+    """
+    if algorithm != Algorithm.CHACHA20:
+        return
+    for width in widths:
+        if nblocks * width > _CHACHA_BLOCK << 32:
+            raise ValueError(
+                f"{nblocks} blocks need {nblocks * width} keystream words from one seed; "
+                "ChaCha20 gives at most 2^38"
+            )

@@ -16,10 +16,14 @@ Layout (all integers big-endian):
 
 The CRC covers only the header: it flags accidental corruption for
 diagnostics and implies nothing about integrity of the body.
+encode_header and decode_header are the one header codec: the share
+codecs use them, and so does the CLI, which streams payloads to and
+from files around them.
 """
 
 import struct
 import zlib
+from typing import NamedTuple
 
 from .rrsg import Algorithm
 from .scheme import Share
@@ -60,31 +64,42 @@ class HeaderError(FormatError):
     """Header fields are internally inconsistent."""
 
 
-def encode_share(share: Share) -> bytes:
-    params = share.params
-    if len(share.key_share) > 0xFFFF:
+class Header(NamedTuple):
+    """The fields of a .sbs1 header: a share's metadata and its two lengths."""
+
+    params: SchemeParams
+    share_index: int
+    rrsg_algorithm: Algorithm
+    key_len: int
+    payload_len: int
+
+
+def encode_header(head: Header) -> bytes:
+    """The HEADER_LEN bytes that start a share's .sbs1 data."""
+    params = head.params
+    if head.key_len > 0xFFFF:
         raise FormatError("key share too long for u16 length field")
     flags = 0
     if params.dual_seed:
         flags |= _FLAG_DUAL_SEED
     if params.field_policy == FieldPolicy.FIXED_CANONICAL:
         flags |= _FLAG_FIXED_FIELD
-    head = _HEADER.pack(
+    packed = _HEADER.pack(
         MAGIC,
         VERSION,
         flags,
         params.n,
         params.m,
-        share.share_index,
-        int(share.rrsg_algorithm),
-        len(share.key_share),
-        len(share.payload),
+        head.share_index,
+        int(head.rrsg_algorithm),
+        head.key_len,
+        head.payload_len,
     )
-    crc = struct.pack(">I", zlib.crc32(head))
-    return head + crc + share.key_share + share.payload
+    return packed + struct.pack(">I", zlib.crc32(packed))
 
 
-def decode_share(data: bytes) -> Share:
+def decode_header(data: bytes, size: int) -> Header:
+    """Parse the header at the start of data, the first bytes of size bytes of .sbs1 data."""
     if len(data) < HEADER_LEN:
         raise TruncatedError(f"need at least {HEADER_LEN} bytes, got {len(data)}")
     if data[:4] != MAGIC:
@@ -108,10 +123,10 @@ def decode_share(data: bytes) -> Share:
     except ValueError:
         raise HeaderError(f"unknown rrsg algorithm id {alg}") from None
     expected = HEADER_LEN + key_len + payload_len
-    if len(data) < expected:
-        raise TruncatedError(f"declared {expected} bytes, got {len(data)}")
-    if len(data) > expected:
-        raise FormatError(f"{len(data) - expected} trailing bytes after payload")
+    if size < expected:
+        raise TruncatedError(f"declared {expected} bytes, got {size}")
+    if size > expected:
+        raise FormatError(f"{size - expected} trailing bytes after payload")
     policy = (
         FieldPolicy.FIXED_CANONICAL
         if flags & _FLAG_FIXED_FIELD
@@ -120,10 +135,21 @@ def decode_share(data: bytes) -> Share:
     params = SchemeParams(
         n=n, m=m, field_policy=policy, dual_seed=bool(flags & _FLAG_DUAL_SEED)
     )
+    return Header(params, index, algorithm, key_len, payload_len)
+
+
+def encode_share(share: Share) -> bytes:
+    key_len, payload_len = len(share.key_share), len(share.payload)
+    head = Header(share.params, share.share_index, share.rrsg_algorithm, key_len, payload_len)
+    return encode_header(head) + share.key_share + share.payload
+
+
+def decode_share(data: bytes) -> Share:
+    head = decode_header(data, len(data))
     return Share(
-        params=params,
-        share_index=index,
-        rrsg_algorithm=algorithm,
-        key_share=bytes(data[HEADER_LEN : HEADER_LEN + key_len]),
-        payload=bytes(data[HEADER_LEN + key_len :]),
+        params=head.params,
+        share_index=head.share_index,
+        rrsg_algorithm=head.rrsg_algorithm,
+        key_share=bytes(data[HEADER_LEN : HEADER_LEN + head.key_len]),
+        payload=bytes(data[HEADER_LEN + head.key_len :]),
     )

@@ -1,11 +1,16 @@
 """Command-line interface tests driven through main()."""
 
 import dataclasses
+import io
+import os
 import secrets
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from sbshare import combine, decode_share, encode_share
+from sbshare import _engine, combine, decode_share, encode_share, scheme
 from sbshare.cli import (
     EXIT_IO,
     EXIT_OK,
@@ -15,7 +20,8 @@ from sbshare.cli import (
     EXIT_USAGE,
     main,
 )
-from sbshare.scheme import pad
+from sbshare.scheme import pad, split
+from sbshare.shamir import SchemeParams
 
 
 @pytest.fixture
@@ -211,3 +217,146 @@ class TestRoundTripModes:
         out_file = tmp_path / "back.bin"
         assert main(["combine", *map(str, paths[1:4]), "-o", str(out_file)]) == EXIT_OK
         assert out_file.read_bytes() == source.read_bytes()
+
+
+def listing(directory):
+    """Names and contents of every file in a directory, temporaries included."""
+    return {p.name: p.read_bytes() for p in directory.iterdir()}
+
+
+class TestCapacity:
+    def test_too_long_for_keystream_exits_3_before_any_file(self, tmp_path, monkeypatch, capsys):
+        # at n=255, m=1 a block takes 260 words, so 2^38 // 260 blocks, a
+        # message of one byte less, is the most ChaCha20 covers; the input is
+        # sparse and is never read
+        def no_keystream(*args):
+            raise AssertionError("keystream read before the capacity check")
+
+        # without the check, this split would write 255 GB of shares
+        monkeypatch.setattr(_engine, "keystream_blocks", no_keystream)
+        source = tmp_path / "big.bin"
+        with open(source, "wb") as f:
+            f.truncate((1 << 38) // 260)
+        argv = ["split", str(source), "-n", "255", "-m", "1", "-o", str(tmp_path / "shares")]
+        assert main(argv) == EXIT_PARAMS
+        assert "2^38" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["big.bin"]
+
+    def test_split_stream_checks_before_reading(self):
+        def read(count):
+            raise AssertionError("read before the capacity check")
+
+        params = SchemeParams(n=255, m=1)
+        with pytest.raises(ValueError, match="2\\^38"):
+            scheme.split_stream(read, (1 << 38) // 260, params)
+        key_shares, _ = scheme.split_stream(read, (1 << 38) // 260 - 1, params)
+        assert len(key_shares) == 255
+
+
+class TestInputSize:
+    @pytest.mark.parametrize("actual", [0, 299, 301, 3000])
+    def test_input_of_another_size_raises(self, monkeypatch, actual):
+        # a file that changes under a split, or a pipe, whose size reads 0
+        monkeypatch.setattr(_engine, "_CHUNK_WORDS", 12 * 10)
+        source = io.BytesIO(secrets.token_bytes(actual))
+        _, chunks = scheme.split_stream(source.read, 300, SchemeParams(n=5, m=3))
+        with pytest.raises(OSError, match="not 300 bytes"):
+            for _ in chunks:
+                pass
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_pipe_input_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        writer = subprocess.Popen(["sh", "-c", f"printf 'some secret' > '{fifo}'"])
+        try:
+            argv = ["split", str(fifo), "-n", "3", "-m", "2", "-o", str(tmp_path / "out")]
+            assert main(argv) == EXIT_IO
+        finally:
+            writer.wait(timeout=30)
+        assert "not 0 bytes" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "pipe"]
+        assert not any((tmp_path / "out").iterdir())
+
+
+class TestAtomicOutput:
+    """Outputs appear complete or not at all, and older files survive a failure."""
+
+    def test_split_failing_mid_way_leaves_older_shares(self, workspace, monkeypatch, capsys):
+        tmp_path, source = workspace
+        split_fixture(workspace)
+        before = listing(tmp_path)
+        source.write_bytes(secrets.token_bytes(600))
+        monkeypatch.setattr(_engine, "_CHUNK_WORDS", 12 * 10)  # 10 blocks a chunk at n=5, m=3
+        calls = []
+        eval_blocks = _engine.eval_blocks
+
+        def failing(*args, **kwargs):
+            # the key split is the first call, then one per chunk
+            calls.append(1)
+            if len(calls) == 4:
+                raise OSError("no space left on device")
+            return eval_blocks(*args, **kwargs)
+
+        monkeypatch.setattr(_engine, "eval_blocks", failing)
+        assert main(["split", str(source), "-n", "5", "-m", "3"]) == EXIT_IO
+        assert "no space left" in capsys.readouterr().err
+        assert len(calls) == 4
+        after = listing(tmp_path)
+        assert after.pop("message.bin") == source.read_bytes()
+        before.pop("message.bin")
+        assert after == before
+
+    @pytest.mark.parametrize("older", [False, True])
+    def test_combine_failing_padding_leaves_no_output(self, tmp_path, monkeypatch, older):
+        # shares of a "padded" message whose last byte is 0, so the padding
+        # check on the last chunk fails after earlier chunks were written
+        monkeypatch.setattr(scheme, "pad", lambda message, m: message)
+        message = secrets.token_bytes(3 * 40 - 1) + b"\x00"
+        shares = split(message, SchemeParams(n=5, m=3))
+        monkeypatch.undo()
+        paths = []
+        for share in shares[:3]:
+            paths.append(tmp_path / f"message.{share.share_index}.sbs1")
+            paths[-1].write_bytes(encode_share(share))
+        out_file = tmp_path / "restored.bin"
+        if older:
+            out_file.write_bytes(b"an older file")
+        before = listing(tmp_path)
+        monkeypatch.setattr(_engine, "_CHUNK_WORDS", 12 * 10)
+        assert main(["combine", *map(str, paths), "-o", str(out_file)]) == EXIT_PADDING
+        assert listing(tmp_path) == before
+
+
+class TestMemory:
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc/self/status")
+    def test_split_and_combine_of_32_mib_stay_under_64_mib(self, tmp_path):
+        # each op runs in a fresh interpreter and reads its own RSS
+        # high-water mark, as benchmarks/probe.py does
+        source = tmp_path / "big.bin"
+        source.write_bytes(os.urandom(32 << 20))
+        child = (
+            "import sys; from pathlib import Path; from sbshare.cli import main\n"
+            "rc = main(sys.argv[1:])\n"
+            "status = Path('/proc/self/status').read_text().splitlines()\n"
+            "hwm = [line for line in status if line.startswith('VmHWM:')]\n"
+            "print(rc, int(hwm[0].split()[1]) // 1024)\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        shares = [str(tmp_path / f"big.{i}.sbs1") for i in (0, 2, 4)]
+        out = tmp_path / "out.bin"
+        ops = (["split", str(source), "-n", "5", "-m", "3"], ["combine", *shares, "-o", str(out)])
+        for argv in ops:
+            proc = subprocess.run(
+                [sys.executable, "-c", child, *argv],
+                capture_output=True,
+                text=True,
+                env=env,
+                timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr
+            rc, mib = map(int, proc.stdout.splitlines()[-1].split())
+            assert rc == EXIT_OK
+            assert mib < 64, (argv[0], mib)
+        assert out.read_bytes() == source.read_bytes()

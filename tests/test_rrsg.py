@@ -12,6 +12,7 @@ from sbshare.rrsg import (
     SEED_LEN,
     Algorithm,
     Seed,
+    check_capacity,
     new_stream,
 )
 
@@ -118,6 +119,41 @@ class TestChaCha20:
         with pytest.raises(ValueError, match="exhausted"):
             stream.read(1)
         assert stream.position == end
+
+
+class TestCapacity:
+    """check_capacity: the up-front form of the counter exhaustion above."""
+
+    @pytest.mark.parametrize("width", [1, 7, 260, 1 << 38])
+    def test_chacha20_exactly_at_the_limit(self, width):
+        nblocks = (1 << 38) // width
+        check_capacity(Algorithm.CHACHA20, nblocks, (width,))
+        with pytest.raises(ValueError, match="2\\^38"):
+            check_capacity(Algorithm.CHACHA20, nblocks + 1, (width,))
+
+    def test_every_stream_is_checked(self):
+        # two seeds: main gives m words per block, aux n + 4
+        nblocks = (1 << 38) // 8
+        check_capacity(Algorithm.CHACHA20, nblocks, (3, 8))
+        with pytest.raises(ValueError):
+            check_capacity(Algorithm.CHACHA20, nblocks, (3, 9))
+        with pytest.raises(ValueError):
+            check_capacity(Algorithm.CHACHA20, nblocks, (9, 3))
+
+    def test_limit_matches_the_stream(self):
+        # the last word the check allows is the last word a stream reads
+        seed = Seed(b"\x11" * KEY_LEN, b"\x22" * NONCE_LEN)
+        width = 64
+        nblocks = (1 << 38) // width
+        check_capacity(Algorithm.CHACHA20, nblocks, (width,))
+        stream = new_stream(seed, Algorithm.CHACHA20)
+        stream.seek((nblocks - 1) * width)
+        assert len(stream.read(width)) == width
+        with pytest.raises(ValueError, match="exhausted"):
+            stream.read(1)
+
+    def test_test_lcg_never_ends(self):
+        check_capacity(Algorithm.TEST_LCG, 1 << 60, (1 << 10, 1 << 10))
 
 
 class TestLcg:
