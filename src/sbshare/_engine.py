@@ -7,7 +7,7 @@ test suite holds the two equal.  Every array it computes is word-major,
 one column per block: points and values (n, B), coefficients (m, B), so
 row i of the values is share i's payload.  Only the keystream words are
 block-major, (B, words), in the layout keystream_blocks alone knows;
-transform_chunks transposes each chunk's plaintext at the edge.
+split_payloads and recover_padded transpose the plaintext at the edge.
 
 All arithmetic runs in field 0, one gather from a 64 KiB table per
 product, a * b = _MUL[a << 8 | b], or quotient, a / b = _DIV[a << 8 | b].
@@ -19,12 +19,13 @@ differences (Knuth, TAOCP Vol. 2, 4.6.4), m(m - 1) gathers per block.
 Both transforms work in slices of _SLICE_WORDS words that keep their
 uint16 index temporaries a fixed size.
 
-Every split and recovery runs through one chunk loop, transform_chunks,
-which takes about _CHUNK_WORDS keystream words' worth of blocks at a
-time, so its working set does not grow with the message.  A block's
-transform reads only its own keystream words, which a seekable stream
-gives for any block, so chunks are independent and their outputs are
-the whole run's, cut at the seams.
+split_payloads and recover_padded transform one run of blocks from any
+block_start: a block's transform reads only its own keystream words,
+which a seekable stream gives for any block, so runs are independent
+and the outputs of consecutive runs are the whole message's, cut at the
+seams.  chunks cuts a message into runs of about _CHUNK_WORDS keystream
+words, which scheme's chunk walks transform one at a time, so their
+working set does not grow with the message.
 """
 
 from __future__ import annotations
@@ -114,12 +115,9 @@ def field_indices(field_words: np.ndarray, policy: shamir.FieldPolicy) -> np.nda
     return (total % gf.field_count()).astype(np.uint8)
 
 
-def eval_blocks(
-    coeffs: np.ndarray, points: np.ndarray, f: np.ndarray, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Horner evaluation: (m, B) coeffs at (n, B) points -> (n, B) words, into out if given."""
-    if out is None:
-        out = np.empty(points.shape, dtype=np.uint8)
+def eval_blocks(coeffs: np.ndarray, points: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Horner evaluation: (m, B) coeffs at (n, B) points -> (n, B) words."""
+    out = np.empty(points.shape, dtype=np.uint8)
     for s in _slices(points.shape[1], len(points)):
         fs = f[s].astype(np.uint16) << 8
         # a C-order index makes F-order coeffs cost one copy, not a strided row per step
@@ -213,79 +211,47 @@ def keystream_blocks(
     return mask, derive_points(rest[:, :n]), field_indices(rest[:, n:], params.field_policy)
 
 
-def transform_chunks(
+def chunks(params: shamir.SchemeParams, block_start: int, nblocks: int):
+    """(start, count) of each chunk of blocks block_start.. of an nblocks run.
+
+    A chunk is max(1, _CHUNK_WORDS // words_per_block) blocks, the last
+    one what remains.
+    """
+    step = max(1, _CHUNK_WORDS // params.words_per_block)
+    end = block_start + nblocks
+    return ((start, min(step, end - start)) for start in range(block_start, end, step))
+
+
+def split_payloads(
+    padded: bytes,
     params: shamir.SchemeParams,
     main: RrsgStream,
     aux: RrsgStream | None,
     block_start: int,
-    nblocks: int,
-    read,
-    indices: list[int] | None = None,
-    out: np.ndarray | None = None,
-):
-    """Split, or with indices recover, blocks block_start.. of a run, one chunk at a time.
-
-    A chunk is max(1, _CHUNK_WORDS // words_per_block) blocks.  For each,
-    read(start, count) gives its input, and the loop yields (start, its
-    output):
-    - split: count * m bytes of padded plaintext in any buffer -> (n, count)
-      share words, row i for share i;
-    - recovery, indices naming the shares read: m buffers of count payload
-      words, one per share -> the (count, m) padded plaintext.
-    Each output is written into its place in out, the whole run's output
-    array if given, or else into one chunk-sized buffer that the next
-    chunk overwrites.
-    """
-    step = max(1, _CHUNK_WORDS // params.words_per_block)
-    split, whole = indices is None, out is not None
-    if not whole:
-        shape = (params.n, min(step, nblocks)) if split else (min(step, nblocks), params.m)
-        out = np.empty(shape, dtype=np.uint8)
-    for start in range(block_start, block_start + nblocks, step):
-        count = min(step, block_start + nblocks - start)
-        at = start - block_start if whole else 0
-        mask, x, f = keystream_blocks(params, main, aux, start, count)
-        if split:
-            data = np.frombuffer(read(start, count), dtype=np.uint8).reshape(count, params.m)
-            coeffs = np.bitwise_xor(data.T, mask.T, order="C")
-            yield start, eval_blocks(coeffs, x, f, out=out[:, at : at + count])
-        else:
-            xs = x[indices]
-            del x  # the chunk's largest array: free it before interpolating
-            ys = np.frombuffer(b"".join(read(start, count)), dtype=np.uint8).reshape(-1, count)
-            coeffs = interpolate_blocks(xs, ys, f)
-            yield start, np.bitwise_xor(coeffs.T, mask, out=out[at : at + count])
-
-
-def split_payloads(
-    padded: bytes, params: shamir.SchemeParams, main: RrsgStream, aux: RrsgStream | None
 ) -> list[bytes]:
-    """Transform padded plaintext into n per-share payloads, one per row of values."""
-    m, plain = params.m, memoryview(padded)
-    out = np.empty((params.n, len(padded) // m), dtype=np.uint8)
-    def read(start, count):
-        return plain[start * m : (start + count) * m]
-
-    for _ in transform_chunks(params, main, aux, 0, out.shape[1], read, out=out):
-        pass
-    return [row.tobytes() for row in out]
+    """Padded plaintext of blocks block_start.. -> n payloads, share i's words of those blocks."""
+    data = np.frombuffer(padded, dtype=np.uint8).reshape(-1, params.m)
+    mask, x, f = keystream_blocks(params, main, aux, block_start, len(data))
+    coeffs = np.bitwise_xor(data.T, mask.T, order="C")
+    return [row.tobytes() for row in eval_blocks(coeffs, x, f)]
 
 
 def recover_padded(
-    payloads: list[bytes],
+    payloads: list,
     indices: list[int],
     params: shamir.SchemeParams,
     main: RrsgStream,
     aux: RrsgStream | None,
     block_start: int,
-) -> bytes:
-    """Invert split_payloads from block_start on; indices name the payloads' shares."""
-    out = np.empty((len(payloads[0]), params.m), dtype=np.uint8)
+) -> np.ndarray:
+    """Invert split_payloads: m payload slices of blocks block_start.. -> (count, m) plaintext.
 
-    def read(start, count):
-        at = start - block_start
-        return [p[at : at + count] for p in payloads]
-
-    for _ in transform_chunks(params, main, aux, block_start, len(out), read, indices, out):
-        pass
-    return out.tobytes()
+    indices name the payloads' shares; the result is C-contiguous, so it
+    is one run of padded plaintext bytes.
+    """
+    count = len(payloads[0])
+    mask, x, f = keystream_blocks(params, main, aux, block_start, count)
+    xs = x[indices]
+    del x  # the chunk's largest array: free it before interpolating
+    ys = np.frombuffer(b"".join(payloads), dtype=np.uint8).reshape(-1, count)
+    return np.bitwise_xor(interpolate_blocks(xs, ys, f).T, mask, order="C")

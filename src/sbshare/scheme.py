@@ -7,11 +7,15 @@ the i-th derived point of every block.  The seed material that drives
 the keystream is itself split with a classic per-word threshold scheme
 and one key share travels with each data share, so any m shares first
 rebuild the seed, then replay the randomness, then invert the blocks.
-split, combine and recover_range take and return whole messages;
-split_stream and recover_stream run the same chunk loop over data that
-a caller reads and writes a chunk at a time.
+
+Each direction has one chunk walk: split_stream and recover_stream take
+the message, or the share payloads, a chunk at a time from a caller's
+read function and yield each chunk's output.  split, combine and
+recover_range are those walks run over data in memory, with the chunks'
+outputs joined.
 """
 
+import io
 from dataclasses import dataclass
 
 from . import _engine
@@ -85,16 +89,6 @@ def _open_streams(
     return main, aux
 
 
-def _start_split(
-    params: SchemeParams, algorithm: Algorithm, nblocks: int
-) -> tuple[list[bytes], RrsgStream, RrsgStream | None]:
-    """Key shares of fresh seeds, and their streams for nblocks blocks."""
-    seeds = [Seed.generate() for _ in range(_seed_count(params))]
-    key_material = b"".join(s.to_bytes() for s in seeds)
-    main, aux = _open_streams(params, key_material, algorithm, nblocks)
-    return split_key(key_material, params.n, params.m), main, aux
-
-
 def split(
     message: bytes,
     params: SchemeParams,
@@ -103,9 +97,11 @@ def split(
 ) -> list[Share]:
     """Split message into params.n shares, any params.m of which recover it."""
     algorithm = Algorithm(algorithm)
-    nblocks = padded_blocks(len(message), params.m)
-    key_shares, main, aux = _start_split(params, algorithm, nblocks)
-    payloads = _engine.split_payloads(pad(message, params.m), params, main, aux)
+    read = io.BytesIO(message).read
+    key_shares, chunks = split_stream(read, len(message), params, algorithm=algorithm)
+    payloads = list(zip(*chunks))  # share i's rows, one per chunk
+    for i, rows in enumerate(payloads):  # one share at a time, so its rows go as it is joined
+        payloads[i] = b"".join(rows)
     return [
         Share(params, i, algorithm, key_shares[i], payloads[i])
         for i in range(params.n)
@@ -118,27 +114,29 @@ def split_stream(
     """split for a size-byte message that read(k) returns k bytes at a time.
 
     Returns the n key shares and an iterator over the payloads, one
-    chunk at a time: an (n, count) array whose row i continues share i's
-    payload, overwritten by the next chunk.  Payloads hold
-    padded_blocks(size, params.m) words.  A message too long for the
-    keystream raises ValueError here, before any word is read; one that
-    ends before or runs past size bytes raises OSError on the chunk where
-    that shows.
+    chunk at a time: a list of n rows, row i continuing share i's
+    payload.  Payloads hold padded_blocks(size, params.m) words.  A
+    message too long for the keystream raises ValueError here, before
+    any word is read; one that ends before or runs past size bytes
+    raises OSError on the chunk where that shows.
     """
     m, algorithm = params.m, Algorithm(algorithm)
     nblocks = padded_blocks(size, m)
-    key_shares, main, aux = _start_split(params, algorithm, nblocks)
+    seeds = [Seed.generate() for _ in range(_seed_count(params))]
+    key_material = b"".join(s.to_bytes() for s in seeds)
+    main, aux = _open_streams(params, key_material, algorithm, nblocks)
 
-    def padded(start: int, count: int) -> bytes:
-        want = min(count * m, size - start * m)
-        data = read(want)
-        # the last chunk, and only it, ends in padding
-        if len(data) != want or (want < count * m and read(1)):
-            raise OSError(f"input is not {size} bytes long; did it change while being split?")
-        return data if want == count * m else pad(data, m)
+    def chunks():
+        for start, count in _engine.chunks(params, 0, nblocks):
+            want = min(count * m, size - start * m)
+            data = read(want)
+            # the last chunk, and only it, ends in padding
+            if len(data) != want or (want < count * m and read(1)):
+                raise OSError(f"input is not {size} bytes long; did it change while being split?")
+            padded = data if want == count * m else pad(data, m)
+            yield _engine.split_payloads(padded, params, main, aux, start)
 
-    chunks = _engine.transform_chunks(params, main, aux, 0, nblocks, padded)
-    return key_shares, (values for _, values in chunks)
+    return split_key(key_material, params.n, m), chunks()
 
 
 def _validate_set(shares: list) -> list:
@@ -174,13 +172,8 @@ def _validate_set(shares: list) -> list:
     return sorted(shares, key=lambda s: s.share_index)[: params.m]
 
 
-def _start_recovery(chosen: list, block_start: int, block_count: int):
-    """Streams of a validated set, once the block range is known to lie in its payloads."""
-    params = chosen[0].params
-    if block_start < 0 or block_count < 0 or block_start + block_count > chosen[0].block_count:
-        raise ValueError("block range outside the share payload")
-    key_material = recover_key([(s.share_index, s.key_share) for s in chosen], params.m)
-    return _open_streams(params, key_material, chosen[0].rrsg_algorithm, block_start + block_count)
+def _payload_slice(share: Share, start: int, count: int) -> memoryview:
+    return memoryview(share.payload)[start : start + count]
 
 
 def recover_range(shares: list[Share], block_start: int, block_count: int) -> bytes:
@@ -189,24 +182,12 @@ def recover_range(shares: list[Share], block_start: int, block_count: int) -> by
     Returns raw block bytes; padding is not stripped, so the caller sees
     exactly block_count * m bytes regardless of where the range falls.
     """
-    return _recover_blocks(_validate_set(shares), block_start, block_count)
-
-
-def _recover_blocks(chosen: list[Share], block_start: int, block_count: int) -> bytes:
-    main, aux = _start_recovery(chosen, block_start, block_count)
-    if block_count == 0:
-        return b""
-    end = block_start + block_count
-    payloads = [memoryview(s.payload)[block_start:end] for s in chosen]
-    indices = [s.share_index for s in chosen]
-    return _engine.recover_padded(payloads, indices, chosen[0].params, main, aux, block_start)
+    return b"".join(recover_stream(shares, _payload_slice, (block_start, block_count)))
 
 
 def combine(shares: list[Share]) -> bytes:
     """Recover the original message from any m or more consistent shares."""
-    chosen = _validate_set(shares)
-    padded = _recover_blocks(chosen, 0, chosen[0].block_count)
-    return unpad(padded, chosen[0].params.m)
+    return b"".join(recover_stream(shares, _payload_slice))
 
 
 def recover_stream(shares: list, read, block_range: tuple[int, int] | None = None):
@@ -215,24 +196,25 @@ def recover_stream(shares: list, read, block_range: tuple[int, int] | None = Non
     shares need Share's metadata and block_count, not its payload:
     read(share, start, count) returns count payload words of one of them
     from block start.  The set and the range are checked here; the
-    returned iterator yields the output in buffers that the next chunk
-    may overwrite.  Without a range, the padding is checked and stripped
-    on the last chunk.
+    returned iterator yields each chunk's plaintext as a buffer of its
+    own.  Without a range, the padding is checked and stripped on the
+    last chunk.
     """
     chosen = _validate_set(shares)
     params, total = chosen[0].params, chosen[0].block_count
     block_start, block_count = (0, total) if block_range is None else block_range
-    main, aux = _start_recovery(chosen, block_start, block_count)
+    if block_start < 0 or block_count < 0 or block_start + block_count > total:
+        raise ValueError("block range outside the share payload")
+    key_material = recover_key([(s.share_index, s.key_share) for s in chosen], params.m)
+    algorithm = chosen[0].rrsg_algorithm
+    main, aux = _open_streams(params, key_material, algorithm, block_start + block_count)
     indices = [s.share_index for s in chosen]
 
-    def payloads(start: int, count: int) -> list[bytes]:
-        return [read(s, start, count) for s in chosen]
-
     def chunks():
-        for start, blocks in _engine.transform_chunks(
-            params, main, aux, block_start, block_count, payloads, indices
-        ):
-            if block_range is None and start + len(blocks) == total:
+        for start, count in _engine.chunks(params, block_start, block_count):
+            payloads = [read(s, start, count) for s in chosen]
+            blocks = _engine.recover_padded(payloads, indices, params, main, aux, start)
+            if block_range is None and start + count == total:
                 yield unpad(blocks.tobytes(), params.m)
             else:
                 yield blocks

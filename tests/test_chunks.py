@@ -1,6 +1,7 @@
-"""The chunk loop at a few blocks per chunk, against the whole-message oracle.
+"""The chunk walks at a few blocks per chunk, against the whole-message oracle.
 
-_engine.transform_chunks walks every split and recovery in chunks of
+Every split and recovery, in the library and in the CLI, runs one chunk
+walk per direction over _engine.chunks, which cuts a run into chunks of
 max(1, _CHUNK_WORDS // words_per_block) blocks.  Here _CHUNK_WORDS is
 shrunk so a chunk holds CHUNK blocks, and messages of k * CHUNK - 1,
 k * CHUNK and k * CHUNK + 1 blocks run through the library and the CLI.
@@ -9,6 +10,7 @@ reference pipelines of tests/helpers.py, which know nothing of chunks.
 """
 
 import secrets
+import tracemalloc
 
 import pytest
 
@@ -38,7 +40,10 @@ def small_chunks(monkeypatch):
 
 
 def ranges(nblocks):
-    """(start, count) windows that start, end and cross on chunk seams."""
+    """(start, count) windows that start, end and cross on the split's chunk seams.
+
+    A range read's own chunks count from its first block.
+    """
     seam = CHUNK * (K - 1)
     return [
         (0, nblocks),
@@ -113,21 +118,71 @@ def test_cli_matches_oracle(small_chunks, tmp_path, params, nblocks):
 
 
 def test_chunk_size_follows_the_block_width(small_chunks, monkeypatch):
-    # the loop's chunks are CHUNK blocks whatever the shape, and one block
-    # when a block is wider than _CHUNK_WORDS
+    # chunks are CHUNK blocks whatever the shape, and one block when a
+    # block is wider than _CHUNK_WORDS
     for params in PARAMS:
         small_chunks(params)
-        seen = []
-
-        def read(start, count, m=params.m):
-            seen.append((start, count))
-            return bytes(count * m)
-
-        streams = helpers.open_streams(bytes(88), Algorithm.TEST_LCG, params.dual_seed)
-        for _ in _engine.transform_chunks(params, *streams, 0, 2 * CHUNK + 1, read):
-            pass
-        assert seen == [(0, CHUNK), (CHUNK, CHUNK), (2 * CHUNK, 1)]
+        got = list(_engine.chunks(params, 0, 2 * CHUNK + 1))
+        assert got == [(0, CHUNK), (CHUNK, CHUNK), (2 * CHUNK, 1)]
+        assert list(_engine.chunks(params, 3, 0)) == []
     monkeypatch.setattr(_engine, "_CHUNK_WORDS", 1)
-    streams = helpers.open_streams(bytes(44), Algorithm.TEST_LCG, False)
-    blocks = list(_engine.transform_chunks(PARAMS[0], *streams, 5, 3, lambda s, c: bytes(3 * c)))
-    assert [start for start, _ in blocks] == [5, 6, 7]
+    assert list(_engine.chunks(PARAMS[0], 5, 3)) == [(5, 1), (6, 1), (7, 1)]
+
+
+def test_every_op_calls_the_engine_once_per_chunk(small_chunks, monkeypatch, tmp_path):
+    # library and CLI ops run the same walk of their direction, one engine
+    # call a chunk: K * CHUNK + 1 blocks are K + 1 chunks
+    params = PARAMS[0]
+    small_chunks(params)
+    calls = []
+    for name in ("split_payloads", "recover_padded"):
+
+        def counted(*args, name=name, fn=getattr(_engine, name)):
+            calls.append(name)
+            return fn(*args)
+
+        monkeypatch.setattr(_engine, name, counted)
+
+    def ran(expected):
+        assert calls == expected
+        calls.clear()
+
+    message = secrets.token_bytes((K * CHUNK + 1) * params.m - 1)
+    shares = split(message, params)
+    ran(["split_payloads"] * (K + 1))
+    assert combine(shares[2:]) == message
+    ran(["recover_padded"] * (K + 1))
+    recover_range(shares[2:], 1, 2 * CHUNK + 1)  # chunks count from the range's first block
+    ran(["recover_padded"] * 3)
+
+    source = tmp_path / "message.bin"
+    source.write_bytes(message)
+    assert main(["split", str(source), "-n", "5", "-m", "3"]) == EXIT_OK
+    ran(["split_payloads"] * (K + 1))
+    chosen = [str(tmp_path / f"message.{i}.sbs1") for i in (0, 2, 4)]
+    assert main(["combine", *chosen, "-o", str(tmp_path / "out.bin")]) == EXIT_OK
+    ran(["recover_padded"] * (K + 1))
+    assert (tmp_path / "out.bin").read_bytes() == message
+    assert main(["combine", *chosen, "-o", str(tmp_path / "out.bin"), "--range", "1:1"]) == EXIT_OK
+    ran(["recover_padded"])
+
+
+def test_library_split_and_combine_peak_memory():
+    # tracemalloc peaks as multiples of a 1 MiB message at n=5, m=3.  split
+    # holds the payloads, 5/3 of the message, and joins them one share at
+    # a time; combine holds the plaintext chunks and their join.  Each
+    # also holds one chunk's working set, about 0.65 MiB.
+    params = SchemeParams(n=5, m=3)
+    message = secrets.token_bytes(1 << 20)
+
+    def peak_of(op):
+        tracemalloc.start()
+        try:
+            return op(), tracemalloc.get_traced_memory()[1] / len(message)
+        finally:
+            tracemalloc.stop()
+
+    shares, split_peak = peak_of(lambda: split(message, params))
+    recovered, combine_peak = peak_of(lambda: combine(shares[1:4]))
+    assert recovered == message
+    assert split_peak < 3 and combine_peak < 2.25, (split_peak, combine_peak)

@@ -108,9 +108,11 @@ class TestRoundTrip:
 
     def test_order_insensitive(self):
         message = secrets.token_bytes(77)
-        shares = split(message, SchemeParams(n=5, m=3))
-        assert combine([shares[4], shares[0], shares[2]]) == message
-        assert combine(list(reversed(shares))) == message
+        # a message may come in any bytes-like buffer
+        for data in (message, bytearray(message), memoryview(message)):
+            shares = split(data, SchemeParams(n=5, m=3))
+            assert combine([shares[4], shares[0], shares[2]]) == message
+            assert combine(list(reversed(shares))) == message
 
     @given(st.binary(max_size=300))
     @settings(max_examples=30, deadline=None)
