@@ -9,15 +9,22 @@ row i of the values is share i's payload.  Only the keystream words are
 block-major, (B, words), in the layout keystream_blocks alone knows;
 split_payloads and recover_padded transpose the plaintext at the edge.
 
+Field elements are bytes, bit i the coefficient of x^i.  FIELDS holds
+the 30 irreducible degree-8 reduction polynomials, encoded the same way
+with bit 8 set, in ascending order: a field's index is its position, and
+field 0 is FIELD0_POLY, x^8 + x^4 + x^3 + x + 1.  They are read off field
+0's tables, since an octic is irreducible exactly when it has a root in
+GF(2^8) outside GF(2^4) (Lidl & Niederreiter, Finite Fields, ch. 3).
+
 All arithmetic runs in field 0, one gather from a 64 KiB table per
 product, a * b = _MUL[a << 8 | b], or quotient, a / b = _DIV[a << 8 | b].
-The 30 fields are isomorphic (Lidl & Niederreiter, Finite Fields, Thm
-2.5), so a kernel maps each block's words into field 0 through its
-field's GF(2)-linear isomorphism, _TO0[f << 8 | a] = phi_f(a), and its
-results back through _FROM0.  Interpolation is Newton's divided
-differences (Knuth, TAOCP Vol. 2, 4.6.4), m(m - 1) gathers per block.
-Both transforms work in slices of _SLICE_WORDS words that keep their
-uint16 index temporaries a fixed size.
+The 30 fields are isomorphic (ibid., Thm 2.5), so a kernel maps each
+block's words into field 0 through its field's GF(2)-linear
+isomorphism, _TO0[f << 8 | a] = phi_f(a), and its results back through
+_FROM0.  Interpolation is Newton's divided differences (Knuth, TAOCP
+Vol. 2, 4.6.4), m(m - 1) gathers per block.  Both transforms work in
+slices of _SLICE_WORDS words that keep their uint16 index temporaries a
+fixed size.
 
 split_payloads and recover_padded transform one run of blocks from any
 block_start: a block's transform reads only its own keystream words,
@@ -32,11 +39,45 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import gf, shamir
+from . import shamir
 from .rrsg import RrsgStream
 
+FIELD0_POLY = 0x11B
 _SLICE_WORDS = 1 << 15
 _CHUNK_WORDS = 1 << 18
+
+
+def mobius(k: int) -> int:
+    """Mobius function: 0 if k has a squared prime factor, else (-1)^(#prime factors)."""
+    if k < 1:
+        raise ValueError("mobius is defined for positive integers only")
+    nfactors = 0
+    d = 2
+    while d * d <= k:
+        if k % d == 0:
+            k //= d
+            if k % d == 0:
+                return 0
+            nfactors += 1
+        d += 1
+    if k > 1:
+        nfactors += 1
+    return -1 if nfactors % 2 else 1
+
+
+def count_irreducible(degree: int) -> int:
+    """Number of irreducible polynomials of the given degree over GF(2).
+
+    Computed by inclusion-exclusion over the divisors of the degree:
+    (1/degree) * sum over d | degree of mobius(degree/d) * 2^d.
+    """
+    if not 1 <= degree <= 30:
+        raise ValueError("degree must be in 1..30")
+    total = sum(
+        mobius(degree // d) * (1 << d) for d in range(1, degree + 1) if degree % d == 0
+    )
+    assert total % degree == 0
+    return total // degree
 
 
 def _rows(a: np.ndarray) -> np.ndarray:
@@ -44,14 +85,14 @@ def _rows(a: np.ndarray) -> np.ndarray:
     return np.left_shift(a, 8, dtype=np.uint16)
 
 
-def _field0_tables() -> tuple[np.ndarray, ...]:
-    """_MUL, _DIV (a / 0 is 0), _TO0 and _FROM0; phi_f(t) is the least root of p_f."""
+def _field0_tables() -> tuple:
+    """FIELDS, _MUL, _DIV (a / 0 is 0), _TO0 and _FROM0; phi_f(t) is the least root of p_f."""
     word = np.arange(256, dtype=np.uint16)
     prod = np.zeros((256, 256), dtype=np.uint16)
     for i in range(8):  # carry-less product: a << i wherever bit i of b is set
         prod ^= (word[:, None] << i) * (word >> i & 1)
     for i in range(14, 7, -1):  # clear bits 14..8 with field 0's polynomial
-        prod ^= (prod >> i & 1) * np.uint16(gf.field_by_index(0).reduction_poly << (i - 8))
+        prod ^= (prod >> i & 1) * np.uint16(FIELD0_POLY << (i - 8))
     mul = prod.astype(np.uint8)
     div = mul[:, (mul == 1).argmax(axis=0)]  # column 0 has no 1: row 0 gives a / 0 = a * 0
     power = np.ones(256, dtype=np.uint8)
@@ -59,12 +100,16 @@ def _field0_tables() -> tuple[np.ndarray, ...]:
     for i in range(9):
         at[:, 1 << i : 2 << i] = at[:, : 1 << i] ^ power[:, None]
         power = mul[power, word]
-    polys = [g.reduction_poly for g in gf.canonical_fields()]  # p_f, field f's polynomial
+    sq = mul[word, word]
+    deg8 = sq[sq[sq[sq]]] != word  # b^16 != b: b lies outside GF(2^4)
+    polys = 256 + np.flatnonzero((at[deg8, 256:] == 0).any(axis=0))  # p_f, field f's polynomial
     to0 = at[(at[:, polys] == 0).argmax(axis=0), :256]
-    return mul.ravel(), div.ravel(), to0.ravel(), to0.argsort(axis=1).astype(np.uint8).ravel()
+    tables = mul.ravel(), div.ravel(), to0.ravel(), to0.argsort(axis=1).astype(np.uint8).ravel()
+    return (tuple(polys.tolist()), *tables)
 
 
-_MUL, _DIV, _TO0, _FROM0 = _field0_tables()
+FIELDS, _MUL, _DIV, _TO0, _FROM0 = _field0_tables()
+assert len(FIELDS) == count_irreducible(8)
 
 
 def _slices(nblocks: int, width: int):
@@ -112,7 +157,7 @@ def field_indices(field_words: np.ndarray, policy: shamir.FieldPolicy) -> np.nda
         return np.zeros(field_words.shape[0], dtype=np.uint8)
     w = field_words  # 2^8, 2^16 and 2^24 are all 16 modulo 30: sum the columns in place
     total = (np.add(w[:, 0], w[:, 1], dtype=np.uint16) + w[:, 2] << 4) + w[:, 3]
-    return (total % gf.field_count()).astype(np.uint8)
+    return (total % len(FIELDS)).astype(np.uint8)
 
 
 def eval_blocks(coeffs: np.ndarray, points: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -179,35 +224,30 @@ def _read_rows(stream: RrsgStream, block_start: int, nblocks: int, width: int) -
 
 
 def stream_widths(params: shamir.SchemeParams) -> tuple[int, ...]:
-    """Words per block that each stream gives: main's, then with two seeds aux's."""
+    """Words per block that each stream gives, one stream per seed."""
     if params.dual_seed:
         return params.m, params.n + shamir.EXTRA_WORDS
     return (params.words_per_block,)
 
 
 def keystream_blocks(
-    params: shamir.SchemeParams,
-    main: RrsgStream,
-    aux: RrsgStream | None,
-    block_start: int,
-    nblocks: int,
+    params: shamir.SchemeParams, streams: list[RrsgStream], block_start: int, nblocks: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Masks (B, m), points (n, B) and field indices (B,) of a block run.
 
     A block's words are its m mask words, then n point words, then
-    EXTRA_WORDS field words.  With one seed all of them come from main,
-    words_per_block per block; with two, main holds only the masks and
-    aux the point and field words.  The masks are views of the read
-    keystream, not copies.
+    EXTRA_WORDS field words.  Each stream gives its stream_widths width
+    per block: the masks are the first stream's first m columns, the
+    point and field words the last stream's last n + EXTRA_WORDS, so
+    one stream gives all of them and two split them.  The masks are
+    views of the read keystream, not copies.
     """
-    n, m = params.n, params.m
-    widths = stream_widths(params)
-    if aux is None:
-        words = _read_rows(main, block_start, nblocks, *widths)
-        mask, rest = words[:, :m], words[:, m:]
-    else:
-        mask = _read_rows(main, block_start, nblocks, widths[0])
-        rest = _read_rows(aux, block_start, nblocks, widths[1])
+    n = params.n
+    rows = [
+        _read_rows(stream, block_start, nblocks, width)
+        for stream, width in zip(streams, stream_widths(params))
+    ]
+    mask, rest = rows[0][:, : params.m], rows[-1][:, -(n + shamir.EXTRA_WORDS) :]
     return mask, derive_points(rest[:, :n]), field_indices(rest[:, n:], params.field_policy)
 
 
@@ -225,13 +265,12 @@ def chunks(params: shamir.SchemeParams, block_start: int, nblocks: int):
 def split_payloads(
     padded: bytes,
     params: shamir.SchemeParams,
-    main: RrsgStream,
-    aux: RrsgStream | None,
+    streams: list[RrsgStream],
     block_start: int,
 ) -> list[bytes]:
     """Padded plaintext of blocks block_start.. -> n payloads, share i's words of those blocks."""
     data = np.frombuffer(padded, dtype=np.uint8).reshape(-1, params.m)
-    mask, x, f = keystream_blocks(params, main, aux, block_start, len(data))
+    mask, x, f = keystream_blocks(params, streams, block_start, len(data))
     coeffs = np.bitwise_xor(data.T, mask.T, order="C")
     return [row.tobytes() for row in eval_blocks(coeffs, x, f)]
 
@@ -240,8 +279,7 @@ def recover_padded(
     payloads: list,
     indices: list[int],
     params: shamir.SchemeParams,
-    main: RrsgStream,
-    aux: RrsgStream | None,
+    streams: list[RrsgStream],
     block_start: int,
 ) -> np.ndarray:
     """Invert split_payloads: m payload slices of blocks block_start.. -> (count, m) plaintext.
@@ -250,7 +288,7 @@ def recover_padded(
     is one run of padded plaintext bytes.
     """
     count = len(payloads[0])
-    mask, x, f = keystream_blocks(params, main, aux, block_start, count)
+    mask, x, f = keystream_blocks(params, streams, block_start, count)
     xs = x[indices]
     del x  # the chunk's largest array: free it before interpolating
     ys = np.frombuffer(b"".join(payloads), dtype=np.uint8).reshape(-1, count)

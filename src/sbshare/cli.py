@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import BinaryIO, NamedTuple
 
 from . import __version__
-from .gf import canonical_fields
+from ._engine import FIELDS
 from .rrsg import Algorithm
 from .scheme import PaddingError, ShareSetError, padded_blocks, recover_stream, split_stream
 from .shamir import FieldPolicy, SchemeParams
@@ -241,9 +241,15 @@ def _cmd_inspect(args) -> int:
     return EXIT_OK
 
 
+def _poly_str(poly: int) -> str:
+    """A polynomial over GF(2) from its bits, e.g. 'x^8 + x^4 + x^3 + x + 1' for 0x11B."""
+    powers = [i for i in range(8, -1, -1) if poly >> i & 1]
+    return " + ".join("1" if i == 0 else "x" if i == 1 else f"x^{i}" for i in powers)
+
+
 def _cmd_fields(args) -> int:
-    for index, spec in enumerate(canonical_fields()):
-        print(f"{index:2d}  0x{spec.reduction_poly:03X}  {spec.poly_str()}")
+    for index, poly in enumerate(FIELDS):
+        print(f"{index:2d}  0x{poly:03X}  {_poly_str(poly)}")
     return EXIT_OK
 
 

@@ -3,10 +3,11 @@
 A message is padded to a whole number of m-word blocks, each block is
 masked with keystream words and treated as the coefficient vector of a
 degree m-1 polynomial, and share i stores that polynomial's value at
-the i-th derived point of every block.  The seed material that drives
-the keystream is itself split with a classic per-word threshold scheme
-and one key share travels with each data share, so any m shares first
-rebuild the seed, then replay the randomness, then invert the blocks.
+the i-th derived point of every block.  The keystream words come from
+one seed, or with dual_seed two, each driving its own stream.  The
+seeds are themselves split with a classic per-word threshold scheme and
+one key share travels with each data share, so any m shares first
+rebuild the seeds, then replay the randomness, then invert the blocks.
 
 Each direction has one chunk walk: split_stream and recover_stream take
 the message, or the share payloads, a chunk at a time from a caller's
@@ -15,7 +16,6 @@ recover_range are those walks run over data in memory, with the chunks'
 outputs joined.
 """
 
-import io
 from dataclasses import dataclass
 
 from . import _engine
@@ -54,7 +54,7 @@ class Share:
 def pad(message: bytes, m: int) -> bytes:
     """Append 1..m bytes of value p so the result is a multiple of m."""
     p = m - (len(message) % m)
-    return message + bytes([p]) * p
+    return bytes(message) + bytes([p]) * p
 
 
 def unpad(padded: bytes, m: int) -> bytes:
@@ -73,20 +73,15 @@ def padded_blocks(size: int, m: int) -> int:
     return size // m + 1
 
 
-def _seed_count(params: SchemeParams) -> int:
-    return 2 if params.dual_seed else 1
-
-
 def _open_streams(
     params: SchemeParams, key_material: bytes, algorithm: Algorithm, nblocks: int
-) -> tuple[RrsgStream, RrsgStream | None]:
-    """The op's streams, once they are known to hold its first nblocks blocks."""
+) -> list[RrsgStream]:
+    """The op's streams, one per seed, once they are known to hold its first nblocks blocks."""
     check_capacity(algorithm, nblocks, _engine.stream_widths(params))
-    main = new_stream(Seed.from_bytes(key_material[:SEED_LEN]), algorithm)
-    if not params.dual_seed:
-        return main, None
-    aux = new_stream(Seed.from_bytes(key_material[SEED_LEN:]), algorithm)
-    return main, aux
+    return [
+        new_stream(Seed.from_bytes(key_material[i : i + SEED_LEN]), algorithm)
+        for i in range(0, len(key_material), SEED_LEN)
+    ]
 
 
 def split(
@@ -95,10 +90,20 @@ def split(
     *,
     algorithm: Algorithm = Algorithm.CHACHA20,
 ) -> list[Share]:
-    """Split message into params.n shares, any params.m of which recover it."""
+    """Split message into params.n shares, any params.m of which recover it.
+
+    message may be any contiguous buffer; its bytes are read in place.
+    """
     algorithm = Algorithm(algorithm)
-    read = io.BytesIO(message).read
-    key_shares, chunks = split_stream(read, len(message), params, algorithm=algorithm)
+    view = memoryview(message).cast("B")
+    end = 0
+
+    def read(k: int) -> memoryview:  # no copy: only the padded last chunk is copied, by pad
+        nonlocal end
+        end += k
+        return view[end - k : end]
+
+    key_shares, chunks = split_stream(read, len(view), params, algorithm=algorithm)
     payloads = list(zip(*chunks))  # share i's rows, one per chunk
     for i, rows in enumerate(payloads):  # one share at a time, so its rows go as it is joined
         payloads[i] = b"".join(rows)
@@ -122,9 +127,8 @@ def split_stream(
     """
     m, algorithm = params.m, Algorithm(algorithm)
     nblocks = padded_blocks(size, m)
-    seeds = [Seed.generate() for _ in range(_seed_count(params))]
-    key_material = b"".join(s.to_bytes() for s in seeds)
-    main, aux = _open_streams(params, key_material, algorithm, nblocks)
+    key_material = b"".join(Seed.generate().to_bytes() for _ in _engine.stream_widths(params))
+    streams = _open_streams(params, key_material, algorithm, nblocks)
 
     def chunks():
         for start, count in _engine.chunks(params, 0, nblocks):
@@ -134,7 +138,7 @@ def split_stream(
             if len(data) != want or (want < count * m and read(1)):
                 raise OSError(f"input is not {size} bytes long; did it change while being split?")
             padded = data if want == count * m else pad(data, m)
-            yield _engine.split_payloads(padded, params, main, aux, start)
+            yield _engine.split_payloads(padded, params, streams, start)
 
     return split_key(key_material, params.n, m), chunks()
 
@@ -158,7 +162,7 @@ def _validate_set(shares: list) -> list:
             raise ShareSetError("shares disagree on payload length")
         if len(s.key_share) != len(first.key_share):
             raise ShareSetError("shares disagree on key share length")
-    if len(first.key_share) != SEED_LEN * _seed_count(params):
+    if len(first.key_share) != SEED_LEN * len(_engine.stream_widths(params)):
         raise ShareSetError("key share length does not match parameters")
     if not first.block_count:
         raise ShareSetError("shares carry no payload blocks")
@@ -207,13 +211,13 @@ def recover_stream(shares: list, read, block_range: tuple[int, int] | None = Non
         raise ValueError("block range outside the share payload")
     key_material = recover_key([(s.share_index, s.key_share) for s in chosen], params.m)
     algorithm = chosen[0].rrsg_algorithm
-    main, aux = _open_streams(params, key_material, algorithm, block_start + block_count)
+    streams = _open_streams(params, key_material, algorithm, block_start + block_count)
     indices = [s.share_index for s in chosen]
 
     def chunks():
         for start, count in _engine.chunks(params, block_start, block_count):
             payloads = [read(s, start, count) for s in chosen]
-            blocks = _engine.recover_padded(payloads, indices, params, main, aux, start)
+            blocks = _engine.recover_padded(payloads, indices, params, streams, start)
             if block_range is None and start + count == total:
                 yield unpad(blocks.tobytes(), params.m)
             else:

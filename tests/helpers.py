@@ -7,8 +7,10 @@ and the brute-force consistency counters used by the secrecy checks.
 The oracle multiplies by shift_reduce_mul, carry-less multiplication
 reduced by each field's own polynomial, and solves by Gauss-Jordan
 elimination, so it shares no arithmetic or algorithm with the library,
-which computes every field in field 0 through isomorphisms.  Of
-sbshare.gf it reads only the catalogue of fields.
+which computes every field in field 0 through isomorphisms.  It keeps
+its own catalogue of fields too: REF_FIELDS, the 30 degree-8
+polynomials that trial division finds irreducible, ascending, and a
+field is its polynomial.
 """
 
 from functools import lru_cache
@@ -16,7 +18,6 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from sbshare.gf import FieldSpec, canonical_fields, field_by_index, field_count
 from sbshare.rrsg import SEED_LEN, Algorithm, Seed, new_stream
 from sbshare.scheme import Share
 from sbshare.shamir import EXTRA_WORDS, FieldPolicy, SchemeParams
@@ -69,22 +70,21 @@ def derive_eval_points(point_words: bytes) -> tuple[int, ...]:
     return tuple(points)
 
 
-def select_field(field_words: bytes, policy: FieldPolicy) -> FieldSpec:
+def select_field(field_words: bytes, policy: FieldPolicy) -> int:
     """Pick the block's working field from four keystream words.
 
     The words form a big-endian 32-bit integer taken modulo the number of
     fields.  Under FIXED_CANONICAL the words are still consumed (keeping
-    the stream aligned) but index 0 is returned regardless.
+    the stream aligned) but field 0 is returned regardless.
     """
     if len(field_words) != EXTRA_WORDS:
         raise ValueError(f"expected {EXTRA_WORDS} field words")
     if policy == FieldPolicy.FIXED_CANONICAL:
-        return field_by_index(0)
-    index = int.from_bytes(field_words, "big") % field_count()
-    return field_by_index(index)
+        return REF_FIELDS[0]
+    return REF_FIELDS[int.from_bytes(field_words, "big") % len(REF_FIELDS)]
 
 
-def eval_block(coeffs: bytes | Sequence[int], points: Sequence[int], field: FieldSpec) -> bytes:
+def eval_block(coeffs: bytes | Sequence[int], points: Sequence[int], field: int) -> bytes:
     """Evaluate the polynomial sum(coeffs[i] * x^i) at each point, by Horner."""
     if len(coeffs) == 0:
         raise ValueError("empty coefficient vector")
@@ -101,7 +101,7 @@ def eval_block(coeffs: bytes | Sequence[int], points: Sequence[int], field: Fiel
 
 
 def interpolate_block(
-    points: Sequence[int], values: bytes | Sequence[int], field: FieldSpec
+    points: Sequence[int], values: bytes | Sequence[int], field: int
 ) -> bytes:
     """Coefficients of the unique degree-(m-1) polynomial through m points.
 
@@ -165,19 +165,19 @@ def shift_reduce_mul(a, b, poly: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def mul_table(field: FieldSpec) -> np.ndarray:
+def mul_table(field: int) -> np.ndarray:
     """Full 256x256 product table of a field, [a, b] = a * b, from shift_reduce_mul."""
     a = np.arange(256)
-    return shift_reduce_mul(a[:, None], a, field.reduction_poly)
+    return shift_reduce_mul(a[:, None], a, field)
 
 
 @lru_cache(maxsize=None)
-def mul_rows(field: FieldSpec) -> list[list[int]]:
+def mul_rows(field: int) -> list[list[int]]:
     """mul_table as nested lists, which scalar code indexes fastest."""
     return mul_table(field).tolist()
 
 
-def gf_inv(field: FieldSpec, a: int) -> int:
+def gf_inv(field: int, a: int) -> int:
     """Multiplicative inverse, the b whose product with a is 1; zero has none."""
     if a == 0:
         raise ZeroDivisionError("0 has no multiplicative inverse")
@@ -198,6 +198,11 @@ def ref_is_irreducible_octic(poly: int) -> bool:
     return all(ref_poly_mod(poly, d) != 0 for d in range(2, 32))
 
 
+#: The oracle's fields, each its reduction polynomial; a field's index is
+#: its position here.
+REF_FIELDS = tuple(p for p in range(0x100, 0x200) if ref_is_irreducible_octic(p))
+
+
 def open_streams(key_material: bytes, algorithm: Algorithm, dual_seed: bool):
     main = new_stream(Seed.from_bytes(key_material[:SEED_LEN]), algorithm)
     if not dual_seed:
@@ -210,9 +215,8 @@ def recovered_key_material(shares: list[Share]) -> bytes:
     m = shares[0].params.m
     chosen = sorted(shares, key=lambda s: s.share_index)[:m]
     xs = tuple(s.share_index + 1 for s in chosen)
-    field = field_by_index(0)
     return bytes(
-        interpolate_block(xs, bytes(s.key_share[i] for s in chosen), field)[0]
+        interpolate_block(xs, bytes(s.key_share[i] for s in chosen), REF_FIELDS[0])[0]
         for i in range(len(chosen[0].key_share))
     )
 
@@ -260,9 +264,7 @@ def reference_padded(shares: list[Share]) -> bytes:
     return bytes(out)
 
 
-def single_seed_consistency_count(
-    field: FieldSpec, y_obs: int, d0: int, d1: int
-) -> int:
+def single_seed_consistency_count(field: int, y_obs: int, d0: int, d1: int) -> int:
     """Count (r0, r1, x) assignments explaining one observed share word.
 
     With m=2 the observed word is y = (r0 ^ d0) ^ (r1 ^ d1) * x.  For any
@@ -291,7 +293,7 @@ def dual_seed_consistency_count(y_obs: int, r0: int, r1: int, d0: int, d1: int) 
     a1 = r1 ^ d1
     x = np.arange(1, 256, dtype=np.intp)
     count = 0
-    for field in canonical_fields():
+    for field in REF_FIELDS:
         count += int((a0 ^ mul_table(field)[a1, x] == y_obs).sum())
     return count
 
@@ -329,4 +331,4 @@ def dual_seed_counts(pairs: int) -> tuple[list[int], int]:
     counts = [
         dual_seed_consistency_count(y_obs, r0, r1, c0, c1) for c0, c1 in count_pairs
     ]
-    return counts, field_count()
+    return counts, len(REF_FIELDS)

@@ -16,7 +16,7 @@ import zlib
 import numpy as np
 
 import helpers
-from sbshare import _engine, gf
+from sbshare import _engine
 from sbshare.rrsg import KEY_LEN, NONCE_LEN, Algorithm, Seed, new_stream
 from sbshare.scheme import Share, combine, pad, recover_range, split
 from sbshare.shamir import FieldPolicy, SchemeParams
@@ -47,11 +47,11 @@ def report(criterion: int, detail: str, started: float) -> None:
 
 def test_criterion_01_irreducible_counts_and_enumeration():
     started = time.perf_counter()
-    assert [gf.count_irreducible(d) for d in range(4, 17)] == TABLE_COUNTS
-    fields = gf.canonical_fields()
+    assert [_engine.count_irreducible(d) for d in range(4, 17)] == TABLE_COUNTS
+    fields = _engine.FIELDS
     assert len(fields) == 30
-    for spec in fields:
-        assert helpers.ref_is_irreducible_octic(spec.reduction_poly)
+    for poly in fields:
+        assert helpers.ref_is_irreducible_octic(poly)
     elapsed = time.perf_counter() - started
     assert elapsed < 1.0, f"runtime budget exceeded: {elapsed:.2f}s"
     report(1, "counts match the published table; 30 verified octics", started)
@@ -65,13 +65,13 @@ def test_criterion_02_field_arithmetic_oracle_equivalence():
     a = np.arange(256, dtype=np.uint16)
     grid_a, grid_b = np.meshgrid(a, a, indexing="ij")
     nz = a[1:]
-    for index, spec in enumerate(gf.canonical_fields()):
+    for index, poly in enumerate(_engine.FIELDS):
         phi = to0[index].astype(np.intp)
         live = from0[index, _engine._MUL[phi[grid_a] << 8 | phi[grid_b]]]
-        oracle = helpers.shift_reduce_mul(grid_a, grid_b, spec.reduction_poly)
+        oracle = helpers.shift_reduce_mul(grid_a, grid_b, poly)
         assert (live == oracle).all(), f"field {index} multiplication mismatch"
         inv = from0[index, _engine._DIV[phi[1] << 8 | phi[nz]]]
-        assert (helpers.shift_reduce_mul(nz, inv, spec.reduction_poly) == 1).all(), (
+        assert (helpers.shift_reduce_mul(nz, inv, poly) == 1).all(), (
             f"field {index} inverse mismatch"
         )
     elapsed = time.perf_counter() - started
@@ -131,7 +131,7 @@ def test_criterion_05_single_seed_consistency_counts():
     params = SchemeParams(n=2, m=2, field_policy=FieldPolicy.FIXED_CANONICAL)
     shares = split(message, params)
     y_obs = shares[0].payload[0]
-    field = gf.field_by_index(0)
+    field = helpers.REF_FIELDS[0]
     rng = random.Random(515)
     pairs = {(message[0], message[1])}
     while len(pairs) < 8:

@@ -9,6 +9,7 @@ Every share payload, combine and range read must equal the scalar
 reference pipelines of tests/helpers.py, which know nothing of chunks.
 """
 
+import array
 import secrets
 import tracemalloc
 
@@ -171,7 +172,9 @@ def test_library_split_and_combine_peak_memory():
     # tracemalloc peaks as multiples of a 1 MiB message at n=5, m=3.  split
     # holds the payloads, 5/3 of the message, and joins them one share at
     # a time; combine holds the plaintext chunks and their join.  Each
-    # also holds one chunk's working set, about 0.65 MiB.
+    # also holds one chunk's working set, about 0.65 MiB.  split reads a
+    # bytearray or memoryview in place as it does bytes, copying only the
+    # padded last chunk.
     params = SchemeParams(n=5, m=3)
     message = secrets.token_bytes(1 << 20)
 
@@ -182,7 +185,21 @@ def test_library_split_and_combine_peak_memory():
         finally:
             tracemalloc.stop()
 
-    shares, split_peak = peak_of(lambda: split(message, params))
-    recovered, combine_peak = peak_of(lambda: combine(shares[1:4]))
-    assert recovered == message
-    assert split_peak < 3 and combine_peak < 2.25, (split_peak, combine_peak)
+    for given in (message, bytearray(message), memoryview(bytearray(message))):
+        shares, split_peak = peak_of(lambda: split(given, params))
+        recovered, combine_peak = peak_of(lambda: combine(shares[1:4]))
+        assert recovered == message
+        kind = type(given).__name__
+        assert split_peak < 3 and combine_peak < 2.25, (kind, split_peak, combine_peak)
+
+
+@pytest.mark.parametrize("n,m", [(5, 3), (4, 4)])
+def test_split_of_a_buffer_of_wide_items_round_trips(small_chunks, n, m):
+    # len() of a memoryview over 4-byte items counts items, not bytes;
+    # split must take every byte, across several chunks.  At m=4 the
+    # message fills whole blocks, so the last chunk is padding only.
+    params = SchemeParams(n=n, m=m)
+    small_chunks(params)
+    words = array.array("I", range(7 * CHUNK * m + 1))
+    shares = split(memoryview(words), params)
+    assert combine(shares[:m]) == words.tobytes()

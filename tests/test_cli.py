@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from helpers import REF_FIELDS
 from sbshare import _engine, combine, decode_share, encode_share, scheme
 from sbshare.cli import (
     EXIT_IO,
@@ -202,11 +203,16 @@ class TestInspect:
 
 class TestFields:
     def test_thirty_lines(self, capsys):
+        # the whole listing, rebuilt from the oracle's catalogue: index,
+        # polynomial in hex, then its terms from x^8 down
+        expected = []
+        for i, p in enumerate(REF_FIELDS):
+            powers = [k for k in range(8, -1, -1) if p >> k & 1]
+            terms = " + ".join("1" if k == 0 else "x" if k == 1 else f"x^{k}" for k in powers)
+            expected.append(f"{i:2d}  0x{p:03X}  {terms}\n")
         assert main(["fields"]) == EXIT_OK
-        lines = capsys.readouterr().out.splitlines()
-        assert len(lines) == 30
-        assert "0x11B" in lines[0]
-        assert "x^8" in lines[0]
+        assert capsys.readouterr().out == "".join(expected)
+        assert expected[0] == " 0  0x11B  x^8 + x^4 + x^3 + x + 1\n"
 
 
 class TestRoundTripModes:

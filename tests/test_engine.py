@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from helpers import derive_eval_points, eval_block, gf_inv, mul_table, select_field
-from sbshare import _engine, gf
+from helpers import REF_FIELDS, derive_eval_points, eval_block, gf_inv, mul_table, select_field
+from sbshare import _engine
 from sbshare.shamir import FieldPolicy
 
 
@@ -20,12 +20,12 @@ def test_interpolate_inverts_eval_across_slices(m, whole, offset):
     coeffs = rng.integers(0, 256, (nblocks, m), dtype=np.uint8)
     coeffs[rng.random((nblocks, m)) < 0.1] = 0
     points = _engine.derive_points(rng.integers(0, 256, (nblocks, m), dtype=np.uint8)).T
-    f = rng.permutation(np.arange(nblocks) % gf.field_count())
+    f = rng.permutation(np.arange(nblocks) % len(REF_FIELDS))
     values = _engine.eval_blocks(coeffs.T, points.T, f).T
     assert (coeffs == 0).any() and (values == 0).any()
-    assert len(np.unique(f)) == min(nblocks, gf.field_count())
+    assert len(np.unique(f)) == min(nblocks, len(REF_FIELDS))
     for b in {b for b in (0, step - 1, step, 2 * step - 1, 2 * step) if b < nblocks}:
-        field = gf.field_by_index(int(f[b]))
+        field = REF_FIELDS[f[b]]
         assert values[b].tobytes() == eval_block(coeffs[b].tobytes(), points[b].tolist(), field)
     assert np.array_equal(_engine.interpolate_blocks(points.T, values.T, f).T, coeffs)
 
@@ -41,7 +41,7 @@ def test_eval_of_transposed_coefficients_equals_contiguous(n, m, whole, offset):
     view = rng.integers(0, 256, (nblocks, m), dtype=np.uint8).T
     assert m == 1 or not view.flags.c_contiguous
     points = _engine.derive_points(rng.integers(0, 256, (nblocks, n), dtype=np.uint8))
-    f = rng.integers(0, gf.field_count(), nblocks)
+    f = rng.integers(0, len(REF_FIELDS), nblocks)
     got = _engine.eval_blocks(view, points, f)
     assert got.shape == (n, nblocks)
     assert np.array_equal(got, _engine.eval_blocks(np.ascontiguousarray(view), points, f))
@@ -54,7 +54,7 @@ def test_interpolate_leaves_read_only_inputs_unchanged(n, m):
     rng = np.random.default_rng([n, m, 7])
     coeffs = rng.integers(0, 256, (300, m), dtype=np.uint8)
     points = _engine.derive_points(rng.integers(0, 256, (300, n), dtype=np.uint8))
-    f = rng.integers(0, gf.field_count(), 300)
+    f = rng.integers(0, len(REF_FIELDS), 300)
     raw = np.concatenate((points, _engine.eval_blocks(coeffs.T, points, f)), axis=0)
     buf = np.frombuffer(raw.tobytes(), dtype=np.uint8).reshape(raw.shape)
     xs, ys = buf[:m], buf[n : n + m]
@@ -68,14 +68,14 @@ def test_field_tables_through_isomorphisms_match_every_field():
     # field 0's tables, read through phi_f and its inverse, give field
     # f's products and quotients for every pair of words, a / 0 being 0
     to0, from0 = _engine._TO0.reshape(-1, 256), _engine._FROM0.reshape(-1, 256)
-    assert len(to0) == gf.field_count()
+    assert len(to0) == len(REF_FIELDS)
     assert to0[0].tolist() == list(range(256))
     a, b = np.arange(256)[:, None], np.arange(256)
     for f, phi in enumerate(to0):
         assert sorted(phi.tolist()) == list(range(256)) and phi[1] == 1
         assert np.array_equal(phi[a ^ b], phi[a] ^ phi[b])
         assert from0[f, phi].tolist() == list(range(256))
-        field = gf.field_by_index(f)
+        field = REF_FIELDS[f]
         table = mul_table(field)
         inverse = [0] + [gf_inv(field, y) for y in range(1, 256)]
         index = phi[a].astype(np.intp) << 8 | phi[b]
@@ -128,7 +128,7 @@ def test_points_and_fields_from_one_keystream_buffer(n, m):
     for row, got in zip(point_words, points):
         assert tuple(got.tolist()) == derive_eval_points(row.tobytes())
     for policy in FieldPolicy:
-        got = [gf.field_by_index(int(i)) for i in _engine.field_indices(field_words, policy)]
+        got = [REF_FIELDS[i] for i in _engine.field_indices(field_words, policy)]
         assert got == [select_field(w.tobytes(), policy) for w in field_words]
     assert words.tobytes() == raw.tobytes()
 
@@ -138,5 +138,5 @@ def test_field_indices_match_oracle(policy):
     rng = np.random.default_rng(int(policy))
     words = rng.integers(0, 256, (512, 4), np.uint8)
     words[0], words[1] = 0, 255
-    got = [gf.field_by_index(int(i)) for i in _engine.field_indices(words, policy)]
+    got = [REF_FIELDS[i] for i in _engine.field_indices(words, policy)]
     assert got == [select_field(w.tobytes(), policy) for w in words]

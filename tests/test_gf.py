@@ -1,5 +1,8 @@
 """The field catalogue, and the library's arithmetic checked in every field.
 
+The library's catalogue, _engine.FIELDS, is read off field 0's tables;
+here it must equal the oracle's trial-division scan.
+
 A product in field f takes the library's route: into field 0 through
 phi_f (_engine._TO0), one gather from field 0's _MUL, and back through
 _FROM0; a quotient gathers from _DIV instead.
@@ -9,8 +12,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import gf_inv, ref_is_irreducible_octic, shift_reduce_mul
-from sbshare import _engine, gf
+from helpers import REF_FIELDS, gf_inv, ref_is_irreducible_octic, shift_reduce_mul
+from sbshare import _engine
 
 # Published irreducible-polynomial counts for GF(2^d), d = 4..16.
 TABLE_COUNTS = [3, 6, 9, 18, 30, 56, 99, 186, 335, 630, 1161, 2182, 4080]
@@ -32,13 +35,13 @@ def div(f: int, a: int, b: int) -> int:
 
 class TestMobius:
     def test_examples(self):
-        assert gf.mobius(1) == 1
-        assert gf.mobius(6) == 1
-        assert gf.mobius(4) == 0
+        assert _engine.mobius(1) == 1
+        assert _engine.mobius(6) == 1
+        assert _engine.mobius(4) == 0
 
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
-            gf.mobius(0)
+            _engine.mobius(0)
 
     @given(st.integers(min_value=1, max_value=5000))
     def test_matches_naive_factorization(self, k):
@@ -52,72 +55,49 @@ class TestMobius:
         if n > 1:
             factors.append(n)
         if len(set(factors)) != len(factors):
-            assert gf.mobius(k) == 0
+            assert _engine.mobius(k) == 0
         else:
-            assert gf.mobius(k) == (-1) ** len(factors)
+            assert _engine.mobius(k) == (-1) ** len(factors)
 
 
 class TestCountIrreducible:
     def test_published_counts(self):
-        assert [gf.count_irreducible(d) for d in range(4, 17)] == TABLE_COUNTS
+        assert [_engine.count_irreducible(d) for d in range(4, 17)] == TABLE_COUNTS
 
     def test_degree_bounds(self):
         with pytest.raises(ValueError):
-            gf.count_irreducible(0)
+            _engine.count_irreducible(0)
         with pytest.raises(ValueError):
-            gf.count_irreducible(31)
+            _engine.count_irreducible(31)
 
     def test_dimension_identity(self):
         # Every element of GF(2^n) has a minimal polynomial whose degree
         # divides n, so the counts must satisfy sum(d * N(d) for d | n) = 2^n.
         for n in range(1, 17):
-            total = sum(d * gf.count_irreducible(d) for d in range(1, n + 1) if n % d == 0)
+            total = sum(d * _engine.count_irreducible(d) for d in range(1, n + 1) if n % d == 0)
             assert total == 2**n
 
 
 class TestEnumeration:
     def test_thirty_octics(self):
-        fields = gf.canonical_fields()
+        fields = _engine.FIELDS
         assert len(fields) == 30
-        assert len(fields) == gf.count_irreducible(8)
+        assert len(fields) == _engine.count_irreducible(8)
 
     def test_matches_trial_division_scan(self):
         expected = [p for p in range(0x100, 0x200) if ref_is_irreducible_octic(p)]
-        assert [f.reduction_poly for f in gf.canonical_fields()] == expected
+        assert list(_engine.FIELDS) == expected
 
     def test_sorted_ascending(self):
-        polys = [f.reduction_poly for f in gf.canonical_fields()]
+        polys = list(_engine.FIELDS)
         assert polys == sorted(polys)
 
     def test_excludes_x8_plus_1(self):
-        polys = {f.reduction_poly for f in gf.canonical_fields()}
+        polys = set(_engine.FIELDS)
         assert 0x101 not in polys  # x^8 + 1 has the root 1
 
     def test_canonical_index_zero(self):
-        assert gf.field_by_index(0).reduction_poly == 0x11B
-
-    def test_index_round_trip(self):
-        for i, spec in enumerate(gf.canonical_fields()):
-            assert gf.field_by_index(i) == spec
-        with pytest.raises(ValueError):
-            gf.field_by_index(30)
-        with pytest.raises(ValueError):
-            gf.field_by_index(-1)
-
-
-class TestFieldSpec:
-    def test_rejects_reducible(self):
-        with pytest.raises(ValueError):
-            gf.FieldSpec(0x101)
-
-    def test_rejects_wrong_degree(self):
-        with pytest.raises(ValueError):
-            gf.FieldSpec(0xFF)
-        with pytest.raises(ValueError):
-            gf.FieldSpec(0x211)
-
-    def test_poly_str(self):
-        assert gf.field_by_index(0).poly_str() == "x^8 + x^4 + x^3 + x + 1"
+        assert _engine.FIELDS[0] == _engine.FIELD0_POLY == 0x11B
 
 
 class TestMul:
@@ -132,7 +112,7 @@ class TestMul:
 
     @given(field_indices, words, words)
     def test_matches_independent_oracle(self, f, a, b):
-        assert mul(f, a, b) == int(shift_reduce_mul(a, b, gf.field_by_index(f).reduction_poly))
+        assert mul(f, a, b) == int(shift_reduce_mul(a, b, REF_FIELDS[f]))
 
     @given(field_indices, words, words)
     def test_commutative(self, f, a, b):
@@ -150,7 +130,7 @@ class TestMul:
 class TestInv:
     def test_examples(self):
         # FIPS-197 (AES) known answer in 0x11B: {53}^-1 = {CA}
-        f = gf.field_by_index(0)
+        f = REF_FIELDS[0]
         assert _engine._DIV[1 << 8 | 0x53] == 0xCA
         assert shift_reduce_mul(0x53, 0xCA, 0x11B) == 1
         assert gf_inv(f, 0x53) == 0xCA
@@ -158,7 +138,7 @@ class TestInv:
         assert gf_inv(f, 0x02) == 0x8D
 
     def test_zero_rejected(self):
-        for f in gf.canonical_fields():
+        for f in REF_FIELDS:
             with pytest.raises(ZeroDivisionError):
                 gf_inv(f, 0)
 
@@ -166,4 +146,4 @@ class TestInv:
     def test_mul_by_inverse_is_one(self, f, a):
         inverse = div(f, 1, a)
         assert mul(f, a, inverse) == 1
-        assert inverse == gf_inv(gf.field_by_index(f), a)
+        assert inverse == gf_inv(REF_FIELDS[f], a)

@@ -353,7 +353,7 @@ class TestConsistencyCounts:
         params = SchemeParams(n=2, m=2, field_policy=FieldPolicy.FIXED_CANONICAL)
         shares = split(message, params)
         y_obs = shares[0].payload[0]
-        field = helpers.field_by_index(0)
+        field = helpers.REF_FIELDS[0]
         counts = {
             helpers.single_seed_consistency_count(field, y_obs, d0, d1)
             for d0, d1 in [(0x42, 0x24), (0, 0), (255, 255), (7, 200)]

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    REF_FIELDS,
     BlockRandomness,
     InterpolationError,
     derive_eval_points,
@@ -18,10 +19,10 @@ from helpers import (
     mul_rows,
     select_field,
 )
-from sbshare import _engine, gf
+from sbshare import _engine
 from sbshare.shamir import FieldPolicy, SchemeParams, recover_key, split_key
 
-field_specs = st.integers(min_value=0, max_value=29).map(gf.field_by_index)
+field_polys = st.sampled_from(REF_FIELDS)
 
 
 class TestSchemeParams:
@@ -76,10 +77,10 @@ def engine_points(words: bytes) -> tuple[int, ...]:
     return tuple(_engine.derive_points(np.frombuffer(words, np.uint8)[None, :])[:, 0].tolist())
 
 
-def engine_field(words: bytes, policy: FieldPolicy) -> gf.FieldSpec:
+def engine_field(words: bytes, policy: FieldPolicy) -> int:
     """_engine.field_indices on a single row."""
     index = _engine.field_indices(np.frombuffer(words, np.uint8)[None, :], policy)[0]
-    return gf.field_by_index(int(index))
+    return REF_FIELDS[index]
 
 
 class DerivePointsCases:
@@ -126,16 +127,16 @@ class SelectFieldCases:
     select = staticmethod(select_field)
 
     def test_examples(self):
-        assert self.select(bytes([0, 0, 0, 0x00]), FieldPolicy.RANDOM_PER_BLOCK) == gf.field_by_index(0)
-        assert self.select(bytes([0, 0, 0, 0x1D]), FieldPolicy.RANDOM_PER_BLOCK) == gf.field_by_index(29)
-        assert self.select(bytes([0, 0, 0, 0x1E]), FieldPolicy.RANDOM_PER_BLOCK) == gf.field_by_index(0)
+        assert self.select(bytes([0, 0, 0, 0x00]), FieldPolicy.RANDOM_PER_BLOCK) == REF_FIELDS[0]
+        assert self.select(bytes([0, 0, 0, 0x1D]), FieldPolicy.RANDOM_PER_BLOCK) == REF_FIELDS[29]
+        assert self.select(bytes([0, 0, 0, 0x1E]), FieldPolicy.RANDOM_PER_BLOCK) == REF_FIELDS[0]
 
     def test_big_endian(self):
         # 0x01000000 mod 30 = 16777216 mod 30 = 16
-        assert self.select(bytes([1, 0, 0, 0]), FieldPolicy.RANDOM_PER_BLOCK) == gf.field_by_index(16)
+        assert self.select(bytes([1, 0, 0, 0]), FieldPolicy.RANDOM_PER_BLOCK) == REF_FIELDS[16]
 
     def test_fixed_policy_ignores_words(self):
-        assert self.select(bytes([9, 9, 9, 9]), FieldPolicy.FIXED_CANONICAL) == gf.field_by_index(0)
+        assert self.select(bytes([9, 9, 9, 9]), FieldPolicy.FIXED_CANONICAL) == REF_FIELDS[0]
 
 
 class TestSelectField(SelectFieldCases):
@@ -156,11 +157,11 @@ class TestEngineSelectField(SelectFieldCases):
 
 class TestEvalBlock:
     def test_constant_polynomial(self):
-        field = gf.field_by_index(3)
+        field = REF_FIELDS[3]
         assert eval_block(b"\xc2", (1, 7, 254), field) == b"\xc2\xc2\xc2"
 
     def test_point_one_sums_coefficients(self):
-        field = gf.field_by_index(11)
+        field = REF_FIELDS[11]
         coeffs = b"\x10\x22\x35\x47"
         expected = 0
         for c in coeffs:
@@ -168,7 +169,7 @@ class TestEvalBlock:
         assert eval_block(coeffs, (1,), field) == bytes([expected])
 
     @given(
-        field_specs,
+        field_polys,
         st.binary(min_size=1, max_size=8),
         st.lists(st.integers(min_value=1, max_value=255), min_size=1, max_size=8),
     )
@@ -185,7 +186,7 @@ class TestEvalBlock:
             assert y == expected
 
     def test_rejects_bad_inputs(self):
-        field = gf.field_by_index(0)
+        field = REF_FIELDS[0]
         with pytest.raises(ValueError):
             eval_block(b"", (1,), field)
         with pytest.raises(ValueError):
@@ -194,11 +195,11 @@ class TestEvalBlock:
 
 class TestInterpolateBlock:
     def test_single_point(self):
-        field = gf.field_by_index(5)
+        field = REF_FIELDS[5]
         assert interpolate_block((17,), b"\x99", field) == b"\x99"
 
     @given(
-        field_specs,
+        field_polys,
         st.binary(min_size=1, max_size=8),
         st.binary(min_size=8, max_size=8),
     )
@@ -208,17 +209,17 @@ class TestInterpolateBlock:
         assert interpolate_block(points, values, field) == coeffs
 
     def test_duplicate_points_rejected(self):
-        field = gf.field_by_index(0)
+        field = REF_FIELDS[0]
         with pytest.raises(InterpolationError):
             interpolate_block((5, 5), b"\x01\x02", field)
 
     def test_zero_point_rejected(self):
-        field = gf.field_by_index(0)
+        field = REF_FIELDS[0]
         with pytest.raises(InterpolationError):
             interpolate_block((0, 3), b"\x01\x02", field)
 
     def test_length_mismatch(self):
-        field = gf.field_by_index(0)
+        field = REF_FIELDS[0]
         with pytest.raises(ValueError):
             interpolate_block((1, 2), b"\x01", field)
 
@@ -257,7 +258,7 @@ class TestKeySplit:
         monkeypatch.setattr("sbshare.shamir.secrets.token_bytes", lambda k: entropy[:k])
         key = secrets.token_bytes(88)
         shares = split_key(key, 32, 16)
-        field = gf.field_by_index(0)
+        field = REF_FIELDS[0]
         for i, byte in enumerate(key):
             coeffs = bytes([byte]) + entropy[i * 15 : (i + 1) * 15]
             ys = eval_block(coeffs, range(1, 33), field)
