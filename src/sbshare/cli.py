@@ -9,6 +9,9 @@ stdout or stderr.  split and combine stream their files a chunk at a
 time, so their memory does not grow with the file, and write every
 output under a temporary name beside its target, renamed into place only
 once all outputs are complete; on any error the temporaries are removed.
+split writes each share's header through share_format.encode_header;
+combine and inspect read shares through open_share, payloads left in
+their files.
 """
 
 import argparse
@@ -17,21 +20,14 @@ import sys
 import tempfile
 from contextlib import ExitStack, contextmanager, suppress
 from pathlib import Path
-from typing import BinaryIO, NamedTuple
+from typing import BinaryIO
 
 from . import __version__
 from ._engine import FIELDS
 from .rrsg import Algorithm
 from .scheme import PaddingError, ShareSetError, padded_blocks, recover_stream, split_stream
 from .shamir import FieldPolicy, SchemeParams
-from .share_format import (
-    HEADER_LEN,
-    FormatError,
-    Header,
-    TruncatedError,
-    decode_header,
-    encode_header,
-)
+from .share_format import FormatError, encode_header, open_share
 
 # The CLI streams files and calls none of the whole-message functions,
 # but benchmarks/tracing.py wraps them under these names as well.
@@ -173,8 +169,8 @@ def _cmd_split(args) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         with _atomic_outputs(paths) as sinks:
             for i, (sink, key_share) in enumerate(zip(sinks, key_shares)):
-                head = Header(params, i, algorithm, len(key_share), padded_blocks(size, params.m))
-                sink.write(encode_header(head) + key_share)
+                head = encode_header(params, i, algorithm, key_share, padded_blocks(size, params.m))
+                sink.write(head)
             for values in chunks:
                 for sink, row in zip(sinks, values):
                     sink.write(row)
@@ -183,43 +179,10 @@ def _cmd_split(args) -> int:
     return EXIT_OK
 
 
-class _ShareFile(NamedTuple):
-    """An open share file: its header fields and key share; the payload stays on disk."""
-
-    path: Path
-    file: BinaryIO
-    params: SchemeParams
-    share_index: int
-    rrsg_algorithm: Algorithm
-    key_share: bytes
-    block_count: int
-
-    def read(self, start: int, count: int) -> bytes:
-        """count payload words from block start."""
-        self.file.seek(HEADER_LEN + len(self.key_share) + start)
-        data = self.file.read(count)
-        if len(data) != count:
-            raise TruncatedError(f"{self.path}: payload ends before block {start + count}")
-        return data
-
-
-def _open_share(path: Path, stack: ExitStack) -> _ShareFile:
-    """Open a share file and read its header; a FormatError names the file at fault."""
-    file = stack.enter_context(open(path, "rb"))
-    try:
-        head = decode_header(file.read(HEADER_LEN), os.fstat(file.fileno()).st_size)
-    except FormatError as exc:
-        raise FormatError(f"{path}: {exc}") from exc
-    key_share = file.read(head.key_len)
-    return _ShareFile(
-        path, file, head.params, head.share_index, head.rrsg_algorithm, key_share, head.payload_len
-    )
-
-
 def _cmd_combine(args) -> int:
     with ExitStack() as stack:
-        shares = [_open_share(path, stack) for path in args.shares]
-        chunks = recover_stream(shares, _ShareFile.read, args.range)
+        shares = [open_share(stack.enter_context(open(path, "rb"))) for path in args.shares]
+        chunks = recover_stream(shares, args.range)
         written = 0
         with _atomic_outputs([args.output]) as (sink,):
             for chunk in chunks:
@@ -229,8 +192,8 @@ def _cmd_combine(args) -> int:
 
 
 def _cmd_inspect(args) -> int:
-    with ExitStack() as stack:
-        share = _open_share(args.share, stack)
+    with open(args.share, "rb") as file:
+        share = open_share(file)
     params = share.params
     policy = "fixed-canonical" if params.field_policy == FieldPolicy.FIXED_CANONICAL else "random-per-block"
     print(f"{args.share}:")

@@ -9,11 +9,11 @@ seeds are themselves split with a classic per-word threshold scheme and
 one key share travels with each data share, so any m shares first
 rebuild the seeds, then replay the randomness, then invert the blocks.
 
-Each direction has one chunk walk: split_stream and recover_stream take
-the message, or the share payloads, a chunk at a time from a caller's
-read function and yield each chunk's output.  split, combine and
-recover_range are those walks run over data in memory, with the chunks'
-outputs joined.
+Each direction has one chunk walk: split_stream takes the message a
+chunk at a time from a caller's read function, recover_stream slices the
+share payloads a chunk at a time, and each yields each chunk's output.
+split, combine and recover_range are those walks run over data in
+memory, with the chunks' outputs joined.
 """
 
 from dataclasses import dataclass
@@ -33,7 +33,11 @@ class ShareSetError(ValueError):
 
 @dataclass(frozen=True)
 class Share:
-    """One participant's share: metadata, key share, and payload column."""
+    """One participant's share: metadata, key share, and payload column.
+
+    The payload is a buffer, or with share_format.open_share one left in
+    its file, read a slice at a time.
+    """
 
     params: SchemeParams
     share_index: int
@@ -176,33 +180,28 @@ def _validate_set(shares: list) -> list:
     return sorted(shares, key=lambda s: s.share_index)[: params.m]
 
 
-def _payload_slice(share: Share, start: int, count: int) -> memoryview:
-    return memoryview(share.payload)[start : start + count]
-
-
 def recover_range(shares: list[Share], block_start: int, block_count: int) -> bytes:
     """Recover block_count blocks of padded plaintext starting at block_start.
 
     Returns raw block bytes; padding is not stripped, so the caller sees
     exactly block_count * m bytes regardless of where the range falls.
     """
-    return b"".join(recover_stream(shares, _payload_slice, (block_start, block_count)))
+    return b"".join(recover_stream(shares, (block_start, block_count)))
 
 
 def combine(shares: list[Share]) -> bytes:
     """Recover the original message from any m or more consistent shares."""
-    return b"".join(recover_stream(shares, _payload_slice))
+    return b"".join(recover_stream(shares))
 
 
-def recover_stream(shares: list, read, block_range: tuple[int, int] | None = None):
+def recover_stream(shares: list[Share], block_range: tuple[int, int] | None = None):
     """combine, or with block_range (start, count) recover_range, one chunk at a time.
 
-    shares need Share's metadata and block_count, not its payload:
-    read(share, start, count) returns count payload words of one of them
-    from block start.  The set and the range are checked here; the
-    returned iterator yields each chunk's plaintext as a buffer of its
-    own.  Without a range, the padding is checked and stripped on the
-    last chunk.
+    Each chosen share's payload is sliced once per chunk, so a payload
+    left in its file by share_format.open_share is read a chunk at a
+    time.  The set and the range are checked here; the returned iterator
+    yields each chunk's plaintext as a buffer of its own.  Without a
+    range, the padding is checked and stripped on the last chunk.
     """
     chosen = _validate_set(shares)
     params, total = chosen[0].params, chosen[0].block_count
@@ -213,11 +212,14 @@ def recover_stream(shares: list, read, block_range: tuple[int, int] | None = Non
     algorithm = chosen[0].rrsg_algorithm
     streams = _open_streams(params, key_material, algorithm, block_start + block_count)
     indices = [s.share_index for s in chosen]
+    # slices of a view are not copies; a payload left in its file reads its slices
+    payloads = [s.payload for s in chosen]
+    payloads = [memoryview(p) if isinstance(p, (bytes, bytearray)) else p for p in payloads]
 
     def chunks():
         for start, count in _engine.chunks(params, block_start, block_count):
-            payloads = [read(s, start, count) for s in chosen]
-            blocks = _engine.recover_padded(payloads, indices, params, streams, start)
+            rows = [p[start : start + count] for p in payloads]
+            blocks = _engine.recover_padded(rows, indices, params, streams, start)
             if block_range is None and start + count == total:
                 yield unpad(blocks.tobytes(), params.m)
             else:

@@ -16,14 +16,18 @@ Layout (all integers big-endian):
 
 The CRC covers only the header: it flags accidental corruption for
 diagnostics and implies nothing about integrity of the body.
-encode_header and decode_header are the one header codec: the share
-codecs use them, and so does the CLI, which streams payloads to and
-from files around them.
+
+This module is the only one that reads or writes the layout.
+encode_share and decode_share convert a whole share; encode_header
+gives the bytes before a payload, for a writer that appends the payload
+itself; open_share reads a share from an open file and leaves its
+payload there, to be read a slice at a time.
 """
 
+import os
 import struct
 import zlib
-from typing import NamedTuple
+from typing import BinaryIO
 
 from .rrsg import Algorithm
 from .scheme import Share
@@ -64,20 +68,11 @@ class HeaderError(FormatError):
     """Header fields are internally inconsistent."""
 
 
-class Header(NamedTuple):
-    """The fields of a .sbs1 header: a share's metadata and its two lengths."""
-
-    params: SchemeParams
-    share_index: int
-    rrsg_algorithm: Algorithm
-    key_len: int
-    payload_len: int
-
-
-def encode_header(head: Header) -> bytes:
-    """The HEADER_LEN bytes that start a share's .sbs1 data."""
-    params = head.params
-    if head.key_len > 0xFFFF:
+def encode_header(
+    params: SchemeParams, share_index: int, algorithm: Algorithm, key_share: bytes, payload_len: int
+) -> bytes:
+    """The bytes before a payload_len-byte payload: the header, then the key share."""
+    if len(key_share) > 0xFFFF:
         raise FormatError("key share too long for u16 length field")
     flags = 0
     if params.dual_seed:
@@ -90,16 +85,19 @@ def encode_header(head: Header) -> bytes:
         flags,
         params.n,
         params.m,
-        head.share_index,
-        int(head.rrsg_algorithm),
-        head.key_len,
-        head.payload_len,
+        share_index,
+        int(algorithm),
+        len(key_share),
+        payload_len,
     )
-    return packed + struct.pack(">I", zlib.crc32(packed))
+    return packed + struct.pack(">I", zlib.crc32(packed)) + key_share
 
 
-def decode_header(data: bytes, size: int) -> Header:
-    """Parse the header at the start of data, the first bytes of size bytes of .sbs1 data."""
+def _decode_header(data: bytes, size: int) -> tuple[SchemeParams, int, Algorithm, int]:
+    """Check the header at the start of size bytes of .sbs1 data.
+
+    Returns its params, share index, algorithm and key share length.
+    """
     if len(data) < HEADER_LEN:
         raise TruncatedError(f"need at least {HEADER_LEN} bytes, got {len(data)}")
     if data[:4] != MAGIC:
@@ -135,21 +133,53 @@ def decode_header(data: bytes, size: int) -> Header:
     params = SchemeParams(
         n=n, m=m, field_policy=policy, dual_seed=bool(flags & _FLAG_DUAL_SEED)
     )
-    return Header(params, index, algorithm, key_len, payload_len)
+    return params, index, algorithm, key_len
 
 
 def encode_share(share: Share) -> bytes:
-    key_len, payload_len = len(share.key_share), len(share.payload)
-    head = Header(share.params, share.share_index, share.rrsg_algorithm, key_len, payload_len)
-    return encode_header(head) + share.key_share + share.payload
+    head = encode_header(
+        share.params, share.share_index, share.rrsg_algorithm, share.key_share, len(share.payload)
+    )
+    return head + share.payload
 
 
 def decode_share(data: bytes) -> Share:
-    head = decode_header(data, len(data))
-    return Share(
-        params=head.params,
-        share_index=head.share_index,
-        rrsg_algorithm=head.rrsg_algorithm,
-        key_share=bytes(data[HEADER_LEN : HEADER_LEN + head.key_len]),
-        payload=bytes(data[HEADER_LEN + head.key_len :]),
-    )
+    params, index, algorithm, key_len = _decode_header(data, len(data))
+    body = HEADER_LEN + key_len
+    return Share(params, index, algorithm, bytes(data[HEADER_LEN:body]), bytes(data[body:]))
+
+
+class _FilePayload:
+    """A payload left in its open file: len() is its length, and a slice seeks and reads."""
+
+    def __init__(self, file: BinaryIO, offset: int, length: int):
+        self.file, self.offset, self.length = file, offset, length
+
+    def __len__(self) -> int:
+        return self.length
+
+    def __getitem__(self, blocks: slice) -> bytes:
+        start, stop, _ = blocks.indices(self.length)
+        count = stop - start
+        self.file.seek(self.offset + start)
+        data = self.file.read(count)
+        if len(data) != count:
+            raise TruncatedError(f"{self.file.name}: payload ends before block {stop}")
+        return data
+
+
+def open_share(file: BinaryIO) -> Share:
+    """The share in an open .sbs1 file, read from its start; the payload stays in the file.
+
+    The header is checked against the file's size and the key share is
+    read.  The payload is read a slice at a time, so the file must stay
+    open while the share is used.  A FormatError, here or from a read
+    that comes up short, keeps its class and names the file.
+    """
+    size = os.fstat(file.fileno()).st_size
+    try:
+        params, index, algorithm, key_len = _decode_header(file.read(HEADER_LEN), size)
+    except FormatError as exc:
+        raise type(exc)(f"{file.name}: {exc}") from exc
+    body = HEADER_LEN + key_len  # the header check makes size - body its payload length
+    return Share(params, index, algorithm, file.read(key_len), _FilePayload(file, body, size - body))

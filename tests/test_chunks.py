@@ -7,11 +7,13 @@ shrunk so a chunk holds CHUNK blocks, and messages of k * CHUNK - 1,
 k * CHUNK and k * CHUNK + 1 blocks run through the library and the CLI.
 Every share payload, combine and range read must equal the scalar
 reference pipelines of tests/helpers.py, which know nothing of chunks.
+The library also runs over shares left in their files by open_share.
 """
 
 import array
 import secrets
 import tracemalloc
+from contextlib import ExitStack
 
 import pytest
 
@@ -21,7 +23,7 @@ from sbshare.cli import EXIT_OK, main
 from sbshare.rrsg import Algorithm
 from sbshare.scheme import combine, pad, recover_range, split
 from sbshare.shamir import FieldPolicy, SchemeParams
-from sbshare.share_format import decode_share
+from sbshare.share_format import decode_share, encode_share, open_share
 
 CHUNK = 4
 K = 3
@@ -59,6 +61,16 @@ def ranges(nblocks):
     ]
 
 
+def in_files(stack, tmp_path, shares):
+    """shares written to .sbs1 files and opened with open_share, payloads left in the files."""
+    opened = []
+    for share in shares:
+        path = tmp_path / f"share.{share.share_index}.sbs1"
+        path.write_bytes(encode_share(share))
+        opened.append(open_share(stack.enter_context(open(path, "rb"))))
+    return opened
+
+
 def subset_of(shares, m):
     """m shares in shuffled order that are not the first m by index."""
     chosen = secrets.SystemRandom().sample(shares, m)
@@ -84,6 +96,21 @@ def test_library_matches_oracle(small_chunks, params, nblocks):
     m = params.m
     for start, count in ranges(nblocks):
         assert recover_range(subset, start, count) == padded[start * m : (start + count) * m]
+
+
+@pytest.mark.parametrize("params", PARAMS, ids=["single", "dual", "dual-fixed"])
+@pytest.mark.parametrize("nblocks", [K * CHUNK - 1, K * CHUNK, K * CHUNK + 1])
+def test_library_over_files_matches_oracle(small_chunks, tmp_path, params, nblocks):
+    small_chunks(params)
+    m = params.m
+    message = secrets.token_bytes(nblocks * m - 1)
+    subset = subset_of(split(message, params), m)
+    padded = helpers.reference_padded(subset)
+    with ExitStack() as stack:
+        opened = in_files(stack, tmp_path, subset)
+        assert combine(opened) == message
+        for start, count in ranges(nblocks):
+            assert recover_range(opened, start, count) == padded[start * m : (start + count) * m]
 
 
 @pytest.mark.parametrize("params", PARAMS, ids=["single", "dual", "dual-fixed"])
@@ -155,6 +182,12 @@ def test_every_op_calls_the_engine_once_per_chunk(small_chunks, monkeypatch, tmp
     ran(["recover_padded"] * (K + 1))
     recover_range(shares[2:], 1, 2 * CHUNK + 1)  # chunks count from the range's first block
     ran(["recover_padded"] * 3)
+    with ExitStack() as stack:  # the same walk over payloads left in their files
+        opened = in_files(stack, tmp_path, shares[2:])
+        assert combine(opened) == message
+        ran(["recover_padded"] * (K + 1))
+        recover_range(opened, 1, 2 * CHUNK + 1)
+        ran(["recover_padded"] * 3)
 
     source = tmp_path / "message.bin"
     source.write_bytes(message)

@@ -1,16 +1,19 @@
-"""Serialization tests: round trips, layout, and malformed-input handling."""
+"""Serialization tests: round trips, layout, malformed-input handling, and shares in files."""
 
+import dataclasses
+import os
 import random
 import secrets
 import struct
 import zlib
+from contextlib import ExitStack
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sbshare.rrsg import Algorithm
-from sbshare.scheme import Share
+from sbshare.scheme import Share, combine, pad, recover_range, split
 from sbshare.shamir import FieldPolicy, SchemeParams
 from sbshare.share_format import (
     HEADER_LEN,
@@ -23,6 +26,7 @@ from sbshare.share_format import (
     VersionError,
     decode_share,
     encode_share,
+    open_share,
 )
 
 
@@ -199,6 +203,72 @@ class TestMalformedInputs:
         # not as a semantic header problem.
         with pytest.raises(ChecksumError):
             decode_share(patched(make_blob(), 7, b"\xff", fix_crc=False))
+
+
+class TestOpenShare:
+    """open_share reads the header and key share and leaves the payload in the file."""
+
+    def test_matches_decode_share(self, tmp_path):
+        blob = make_blob()
+        path = tmp_path / "share.sbs1"
+        path.write_bytes(blob)
+        expected = decode_share(blob)
+        with open(path, "rb") as file:
+            share = open_share(file)
+            assert dataclasses.replace(share, payload=b"") == dataclasses.replace(expected, payload=b"")
+            assert len(share.payload) == share.block_count == 9
+            assert share.payload[2:7] == expected.payload[2:7]
+            assert share.payload[:] == expected.payload
+
+    @pytest.mark.parametrize(
+        "case",
+        [name for name in vars(TestMalformedInputs) if name.startswith("test_")
+         and name != "test_error_hierarchy"],  # the one case that decodes nothing
+    )
+    def test_malformed_file_keeps_the_class_and_names_the_file(self, case, tmp_path, monkeypatch):
+        # each TestMalformedInputs case, run with decode_share replaced by a
+        # check that opening its data from a file raises the same class,
+        # with the path in front of the same message
+        path = tmp_path / "share.sbs1"
+        direct, calls = decode_share, []
+
+        def through_a_file(data):
+            calls.append(data)
+            with pytest.raises(FormatError) as want:
+                direct(data)
+            path.write_bytes(data)
+            with open(path, "rb") as file, pytest.raises(FormatError) as got:
+                open_share(file)
+            assert got.type is want.type
+            assert str(got.value) == f"{path}: {want.value}"
+            raise got.value
+
+        monkeypatch.setitem(globals(), "decode_share", through_a_file)
+        getattr(TestMalformedInputs(), case)()
+        assert calls
+
+    def test_file_cut_after_opening_is_named_when_a_read_reaches_the_cut(self, tmp_path):
+        # the header matched the file's size when it was opened, so only a
+        # payload read that reaches the cut can see it.  Each payload is
+        # 20,001 bytes, well past the 8 KiB that the file's buffer holds
+        # from the header read: bytes in that buffer outlive a cut.
+        params = SchemeParams(n=5, m=3)
+        message = secrets.token_bytes(60_000)
+        padded = pad(message, params.m)
+        paths = []
+        for share in split(message, params)[1:4]:
+            paths.append(tmp_path / f"share.{share.share_index}.sbs1")
+            paths[-1].write_bytes(encode_share(share))
+        cut = paths[1]
+        with ExitStack() as stack:
+            shares = [open_share(stack.enter_context(open(p, "rb"))) for p in paths]
+            os.truncate(cut, cut.stat().st_size - 3)
+            nblocks = shares[0].block_count
+            assert recover_range(shares, 0, nblocks - 3) == padded[: (nblocks - 3) * 3]
+            for op in (lambda: combine(shares), lambda: recover_range(shares, nblocks - 3, 1)):
+                with pytest.raises(TruncatedError) as err:
+                    op()
+                assert str(err.value).startswith(f"{cut}: payload ends before block ")
 
 
 class TestQuickFuzz:
