@@ -6,8 +6,10 @@ semantics are defined by the scalar oracle in tests/helpers.py, and the
 test suite holds the two equal.  Every array it computes is word-major,
 one column per block: points and values (n, B), coefficients (m, B), so
 row i of the values is share i's payload.  Only the keystream words are
-block-major, (B, words), in the layout keystream_blocks alone knows;
-split_payloads and recover_padded transpose the plaintext at the edge.
+block-major, (B, words), in the layout keystream_blocks alone knows: an
+op reads one stream, which gives a block's m + n + 4 words in the same
+order whatever the number of seeds.  split_payloads and recover_padded
+transpose the plaintext at the edge.
 
 Field elements are bytes, bit i the coefficient of x^i.  FIELDS holds
 the 30 irreducible degree-8 reduction polynomials, encoded the same way
@@ -217,38 +219,28 @@ def interpolate_at_zero(points: np.ndarray, values: np.ndarray) -> np.ndarray:
     return np.bitwise_xor.reduce(_MUL.take(_rows(frac) | values), axis=0)
 
 
-def _read_rows(stream: RrsgStream, block_start: int, nblocks: int, width: int) -> np.ndarray:
-    """Blocks block_start.. of a stream that holds width words per block."""
-    stream.seek(block_start * width)
-    return np.frombuffer(stream.read(nblocks * width), dtype=np.uint8).reshape(nblocks, width)
-
-
 def stream_widths(params: shamir.SchemeParams) -> tuple[int, ...]:
-    """Words per block that each stream gives, one stream per seed."""
+    """Words per block that each seed gives."""
     if params.dual_seed:
         return params.m, params.n + shamir.EXTRA_WORDS
     return (params.words_per_block,)
 
 
 def keystream_blocks(
-    params: shamir.SchemeParams, streams: list[RrsgStream], block_start: int, nblocks: int
+    params: shamir.SchemeParams, stream: RrsgStream, block_start: int, nblocks: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Masks (B, m), points (n, B) and field indices (B,) of a block run.
+    """Masks (m, B), points (n, B) and field indices (B,) of a block run.
 
-    A block's words are its m mask words, then n point words, then
-    EXTRA_WORDS field words.  Each stream gives its stream_widths width
-    per block: the masks are the first stream's first m columns, the
-    point and field words the last stream's last n + EXTRA_WORDS, so
-    one stream gives all of them and two split them.  The masks are
-    views of the read keystream, not copies.
+    stream is the op's one stream, which gives a block's m mask words,
+    n point words and EXTRA_WORDS field words in that order, from one
+    seed or two (stream_widths).  The masks are copied out, so the read
+    goes once the points and fields are made.
     """
-    n = params.n
-    rows = [
-        _read_rows(stream, block_start, nblocks, width)
-        for stream, width in zip(streams, stream_widths(params))
-    ]
-    mask, rest = rows[0][:, : params.m], rows[-1][:, -(n + shamir.EXTRA_WORDS) :]
-    return mask, derive_points(rest[:, :n]), field_indices(rest[:, n:], params.field_policy)
+    m, n, width = params.m, params.n, params.words_per_block
+    stream.seek(block_start * width)
+    words = np.frombuffer(stream.read(nblocks * width), dtype=np.uint8).reshape(nblocks, width)
+    points = derive_points(words[:, m : m + n])
+    return words[:, :m].T.copy(), points, field_indices(words[:, m + n :], params.field_policy)
 
 
 def chunks(params: shamir.SchemeParams, block_start: int, nblocks: int):
@@ -265,13 +257,13 @@ def chunks(params: shamir.SchemeParams, block_start: int, nblocks: int):
 def split_payloads(
     padded: bytes,
     params: shamir.SchemeParams,
-    streams: list[RrsgStream],
+    stream: RrsgStream,
     block_start: int,
 ) -> list[bytes]:
     """Padded plaintext of blocks block_start.. -> n payloads, share i's words of those blocks."""
     data = np.frombuffer(padded, dtype=np.uint8).reshape(-1, params.m)
-    mask, x, f = keystream_blocks(params, streams, block_start, len(data))
-    coeffs = np.bitwise_xor(data.T, mask.T, order="C")
+    mask, x, f = keystream_blocks(params, stream, block_start, len(data))
+    coeffs = np.bitwise_xor(data.T, mask, order="C")
     return [row.tobytes() for row in eval_blocks(coeffs, x, f)]
 
 
@@ -279,7 +271,7 @@ def recover_padded(
     payloads: list,
     indices: list[int],
     params: shamir.SchemeParams,
-    streams: list[RrsgStream],
+    stream: RrsgStream,
     block_start: int,
 ) -> np.ndarray:
     """Invert split_payloads: m payload slices of blocks block_start.. -> (count, m) plaintext.
@@ -288,8 +280,10 @@ def recover_padded(
     is one run of padded plaintext bytes.
     """
     count = len(payloads[0])
-    mask, x, f = keystream_blocks(params, streams, block_start, count)
+    mask, x, f = keystream_blocks(params, stream, block_start, count)
     xs = x[indices]
     del x  # the chunk's largest array: free it before interpolating
     ys = np.frombuffer(b"".join(payloads), dtype=np.uint8).reshape(-1, count)
-    return np.bitwise_xor(interpolate_blocks(xs, ys, f).T, mask, order="C")
+    coeffs = interpolate_blocks(xs, ys, f)
+    coeffs ^= mask
+    return np.ascontiguousarray(coeffs.T)

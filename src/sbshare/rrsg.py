@@ -1,10 +1,11 @@
 """Deterministic, seekable keystream generators.
 
 A stream is an unbounded sequence of words (one word = one byte) that
-is a function of its 44-byte seed and algorithm alone, so ``seek``
-reaches any position without regenerating the prefix.  ``RrsgStream.read``
-alone checks the count and moves the position; each generator maps an
-offset and a count to words and holds no state besides its seed.
+is a function of its 44-byte seeds and algorithm alone, so ``seek``
+reaches any position without regenerating the prefix; with two seeds,
+each gives its own words of every block.  ``RrsgStream.read`` alone
+checks the count, moves the position and joins the seeds' words; each
+generator maps an offset and a count per seed to that seed's words.
 
 Two algorithms are provided:
 
@@ -21,9 +22,10 @@ state of a batch of B blocks is four (4, B) row sets a, b, c, d, so one
 in-place numpy call does a step of four quarter rounds on every block,
 and the diagonal rounds rotate the rows of b, c and d.  That is about
 460 numpy calls per batch of up to 16384 blocks, so short reads are
-cheap.  OpenSSL's ChaCha20 (``cryptography``) is ten times faster on
-megabyte reads, but importing it costs every fresh process about 7 MiB
-of resident memory and 12 ms; it stays a test-only oracle.
+cheap, and one batch serves every seed of a read.  OpenSSL's ChaCha20
+(``cryptography``) is ten times faster on megabyte reads, but importing
+it costs every fresh process about 7 MiB of resident memory and 12 ms;
+it stays a test-only oracle.
 """
 
 import secrets
@@ -73,11 +75,18 @@ class Seed:
 
 
 class RrsgStream:
-    """Base contract: read consecutive words, seek to any word offset."""
+    """Base contract: read consecutive words, seek to any word offset.
+
+    A stream runs over one or more seeds, seed j giving widths[j] words
+    per block: block b is seed 0's words [b*w_0, (b+1)*w_0), then seed
+    1's [b*w_1, (b+1)*w_1), and so on.  One seed's stream is its own
+    keystream, whatever its width.
+    """
 
     algorithm: Algorithm
 
-    def __init__(self):
+    def __init__(self, widths: tuple[int, ...]):
+        self._widths = widths
         self._pos = 0
 
     @property
@@ -97,12 +106,18 @@ class RrsgStream:
             raise ValueError("count must be non-negative")
         if count == 0:
             return b""
-        words = self._words(self._pos, count)
+        width = sum(self._widths)
+        block, skip = divmod(self._pos, width)
+        nblocks = -(-(skip + count) // width)
+        runs = self._runs([(block * w, nblocks * w) for w in self._widths])
+        # one seed's words are in stream order already; more are joined block by block
+        if len(runs) > 1:
+            runs = [np.concatenate([r.reshape(nblocks, -1) for r in runs], axis=1)]
         self._pos += count
-        return words
+        return runs[0].reshape(-1)[skip : skip + count].tobytes()
 
-    def _words(self, start: int, count: int) -> bytes:
-        """Words [start, start + count), count > 0, as a function of the seed alone."""
+    def _runs(self, runs: list[tuple[int, int]]) -> list[np.ndarray]:
+        """Seed j's words [start, start + count) for runs[j] = (start, count), count > 0, as uint8."""
         raise NotImplementedError
 
 
@@ -128,26 +143,36 @@ def _round(a, b, c, d, t):
         z |= t
 
 
-def _chacha20_into(out: np.ndarray, init: np.ndarray, first_block: int) -> None:
-    """Fill out, (B, 16) words, with the B blocks from first_block on.
+def _chacha20_into(out: np.ndarray, init: np.ndarray, counts, counter: np.ndarray) -> None:
+    """Fill out, (B, 16) words, with counts[0] blocks of seed 0, then counts[1] of seed 1, ...
 
-    init holds the 16 input words with a zero counter.  Each of a, b,
-    c, d is a (4, B) set of rows of the state, so one numpy call serves
-    four quarter rounds; rotating the rows of b, c and d by 1, 2 and 3
-    lines up the diagonals as columns, and rotating back restores them.
+    init holds each seed's 16 input words as a column, with a zero
+    counter; block k's is counter[k].  Each of a, b, c, d is a (4, B)
+    set of rows of the state, so one numpy call serves four quarter
+    rounds; rotating the rows of b, c and d by 1, 2 and 3 lines up the
+    diagonals as columns, and rotating back restores them.  The four
+    are separate arrays, rotated one at a time, so a batch holds one
+    spare row set while it rotates, not the state and three more.
     """
-    counter = np.arange(first_block, first_block + len(out), dtype=np.uint64).astype(np.uint32)
-    a, b, c, d = np.repeat(init[:, None], len(out), axis=1).reshape(4, 4, -1)
+    a, b, c, d = (np.repeat(init[4 * k : 4 * k + 4], counts, axis=1) for k in range(4))
     d[0] = counter
     t = np.empty_like(a)
     for _ in range(10):
         _round(a, b, c, d, t)
-        b, c, d = b[_LANES[1]], c[_LANES[2]], d[_LANES[3]]
+        b = b[_LANES[1]]
+        c = c[_LANES[2]]
+        d = d[_LANES[3]]
         _round(a, b, c, d, t)
-        b, c, d = b[_LANES[3]], c[_LANES[2]], d[_LANES[1]]
+        b = b[_LANES[3]]
+        c = c[_LANES[2]]
+        d = d[_LANES[1]]
     rows = out.T
     for k, v in enumerate((a, b, c, d)):
-        np.add(v, init[4 * k : 4 * k + 4, None], out=rows[4 * k : 4 * k + 4])
+        rows[4 * k : 4 * k + 4] = v
+    start = 0
+    for column, count in zip(init.T, counts):
+        out[start : start + count] += column
+        start += count
     rows[12] += counter
 
 
@@ -155,26 +180,38 @@ class _ChaCha20Stream(RrsgStream):
     """ChaCha20 as in RFC 8439.
 
     Input words: 4 constants, 8 key words, the 32-bit block counter and
-    3 nonce words, all little-endian.
+    3 nonce words, all little-endian.  A read computes every seed's
+    blocks in the same batches.
     """
 
     algorithm = Algorithm.CHACHA20
 
-    def __init__(self, seed: Seed):
-        super().__init__()
-        self._init = np.concatenate(
-            (_CHACHA_CONST, np.frombuffer(seed.key + bytes(4) + seed.nonce, dtype="<u4"))
-        )
+    def __init__(self, seeds: list[Seed], widths: tuple[int, ...]):
+        super().__init__(widths)
+        words = [np.frombuffer(s.key + bytes(4) + s.nonce, dtype="<u4") for s in seeds]
+        self._init = np.stack([np.concatenate((_CHACHA_CONST, w)) for w in words], axis=1)
 
-    def _words(self, start: int, count: int) -> bytes:
-        block, offset = divmod(start, _CHACHA_BLOCK)
-        nblocks = (offset + count + _CHACHA_BLOCK - 1) // _CHACHA_BLOCK
-        if block + nblocks > 1 << 32:
-            raise ValueError("block counter space exhausted")
-        out = np.empty((nblocks, 16), dtype="<u4")
-        for i in range(0, nblocks, _MAX_BATCH_BLOCKS):
-            _chacha20_into(out[i : i + _MAX_BATCH_BLOCKS], self._init, block + i)
-        return out.reshape(-1).view(np.uint8)[offset : offset + count].tobytes()
+    def _runs(self, runs: list[tuple[int, int]]) -> list[np.ndarray]:
+        spans, total = [], 0  # each seed's first block, block count and first row of out
+        for start, count in runs:
+            block, offset = divmod(start, _CHACHA_BLOCK)
+            nblocks = (offset + count + _CHACHA_BLOCK - 1) // _CHACHA_BLOCK
+            if block + nblocks > 1 << 32:
+                raise ValueError("block counter space exhausted")
+            spans.append((block, nblocks, total))
+            total += nblocks
+        counter = np.concatenate([np.arange(b, b + k, dtype=np.uint64) for b, k, _ in spans])
+        counter = counter.astype(np.uint32)
+        out = np.empty((total, 16), dtype="<u4")
+        for i in range(0, total, _MAX_BATCH_BLOCKS):
+            j = min(i + _MAX_BATCH_BLOCKS, total)
+            counts = [max(0, min(j, first + k) - max(i, first)) for _, k, first in spans]
+            _chacha20_into(out[i:j], self._init, counts, counter[i:j])
+        words = out.reshape(-1).view(np.uint8)
+        return [
+            words[first * _CHACHA_BLOCK + start % _CHACHA_BLOCK :][:count]
+            for (_, _, first), (start, count) in zip(spans, runs)
+        ]
 
 
 # -- Test LCG ----------------------------------------------------------
@@ -214,18 +251,21 @@ class _TestLcgStream(RrsgStream):
 
     algorithm = Algorithm.TEST_LCG
 
-    def __init__(self, seed: Seed):
-        super().__init__()
-        self._initial = int.from_bytes(seed.key[:8], "big")
+    def __init__(self, seeds: list[Seed], widths: tuple[int, ...]):
+        super().__init__(widths)
+        self._initials = [int.from_bytes(s.key[:8], "big") for s in seeds]
 
-    def _words(self, start: int, count: int) -> bytes:
-        out = np.empty(count, dtype=np.uint8)
-        state = np.uint64(_lcg_jump(self._initial, start))
-        for i in range(0, count, _LCG_BATCH):
-            states = _LCG_A[: count - i] * state + _LCG_C[: count - i]
-            out[i : i + _LCG_BATCH] = (states >> np.uint64(33)).astype(np.uint8)
-            state = states[-1]
-        return out.tobytes()
+    def _runs(self, runs: list[tuple[int, int]]) -> list[np.ndarray]:
+        words = []
+        for initial, (start, count) in zip(self._initials, runs):
+            out = np.empty(count, dtype=np.uint8)
+            state = np.uint64(_lcg_jump(initial, start))
+            for i in range(0, count, _LCG_BATCH):
+                states = _LCG_A[: count - i] * state + _LCG_C[: count - i]
+                out[i : i + _LCG_BATCH] = (states >> np.uint64(33)).astype(np.uint8)
+                state = states[-1]
+            words.append(out)
+        return words
 
 
 _STREAM_CLASSES = {
@@ -234,13 +274,20 @@ _STREAM_CLASSES = {
 }
 
 
-def new_stream(seed: Seed, algorithm: Algorithm | int) -> RrsgStream:
-    """Stream positioned at word 0 for the given seed and algorithm."""
+def new_stream(seed: Seed | list[Seed], algorithm: Algorithm | int, widths=(1,)) -> RrsgStream:
+    """Stream positioned at word 0 for the given seed, or seeds, and algorithm.
+
+    Seed j gives widths[j] words per block of the stream (RrsgStream);
+    one seed's stream is its own keystream.
+    """
     try:
         alg = Algorithm(algorithm)
     except ValueError:
         raise ValueError(f"unknown keystream algorithm id {algorithm!r}") from None
-    return _STREAM_CLASSES[alg](seed)
+    seeds = [seed] if isinstance(seed, Seed) else list(seed)
+    if len(widths) != len(seeds) or min(widths) < 1:
+        raise ValueError("need one positive width per seed")
+    return _STREAM_CLASSES[alg](seeds, tuple(widths))
 
 
 def check_capacity(algorithm: Algorithm | int, nblocks: int, widths: tuple[int, ...]) -> None:
@@ -249,7 +296,7 @@ def check_capacity(algorithm: Algorithm | int, nblocks: int, widths: tuple[int, 
     widths are the words per block that each stream gives.  ChaCha20's
     32-bit block counter ends a stream after 2^38 words; the test LCG
     never ends.  Ops call this before reading any word, so a message too
-    long for its keystream fails before any work; _ChaCha20Stream._words
+    long for its keystream fails before any work; _ChaCha20Stream._runs
     keeps its own check as the last guard.
     """
     if algorithm != Algorithm.CHACHA20:

@@ -4,10 +4,11 @@ A message is padded to a whole number of m-word blocks, each block is
 masked with keystream words and treated as the coefficient vector of a
 degree m-1 polynomial, and share i stores that polynomial's value at
 the i-th derived point of every block.  The keystream words come from
-one seed, or with dual_seed two, each driving its own stream.  The
-seeds are themselves split with a classic per-word threshold scheme and
-one key share travels with each data share, so any m shares first
-rebuild the seeds, then replay the randomness, then invert the blocks.
+one seed, or with dual_seed two, read together as the op's one
+stream.  The seeds are themselves split with a classic per-word
+threshold scheme and one key share travels with each data share, so
+any m shares first rebuild the seeds, then replay the randomness, then
+invert the blocks.
 
 Each direction has one chunk walk: split_stream takes the message a
 chunk at a time from a caller's read function, recover_stream slices the
@@ -77,15 +78,15 @@ def padded_blocks(size: int, m: int) -> int:
     return size // m + 1
 
 
-def _open_streams(
+def _open_stream(
     params: SchemeParams, key_material: bytes, algorithm: Algorithm, nblocks: int
-) -> list[RrsgStream]:
-    """The op's streams, one per seed, once they are known to hold its first nblocks blocks."""
-    check_capacity(algorithm, nblocks, _engine.stream_widths(params))
-    return [
-        new_stream(Seed.from_bytes(key_material[i : i + SEED_LEN]), algorithm)
-        for i in range(0, len(key_material), SEED_LEN)
-    ]
+) -> RrsgStream:
+    """The op's one stream over its seeds, once it is known to hold its first nblocks blocks."""
+    widths = _engine.stream_widths(params)
+    check_capacity(algorithm, nblocks, widths)
+    offsets = range(0, len(key_material), SEED_LEN)
+    seeds = [Seed.from_bytes(key_material[i : i + SEED_LEN]) for i in offsets]
+    return new_stream(seeds, algorithm, widths)
 
 
 def split(
@@ -132,7 +133,7 @@ def split_stream(
     m, algorithm = params.m, Algorithm(algorithm)
     nblocks = padded_blocks(size, m)
     key_material = b"".join(Seed.generate().to_bytes() for _ in _engine.stream_widths(params))
-    streams = _open_streams(params, key_material, algorithm, nblocks)
+    stream = _open_stream(params, key_material, algorithm, nblocks)
 
     def chunks():
         for start, count in _engine.chunks(params, 0, nblocks):
@@ -142,7 +143,7 @@ def split_stream(
             if len(data) != want or (want < count * m and read(1)):
                 raise OSError(f"input is not {size} bytes long; did it change while being split?")
             padded = data if want == count * m else pad(data, m)
-            yield _engine.split_payloads(padded, params, streams, start)
+            yield _engine.split_payloads(padded, params, stream, start)
 
     return split_key(key_material, params.n, m), chunks()
 
@@ -210,7 +211,7 @@ def recover_stream(shares: list[Share], block_range: tuple[int, int] | None = No
         raise ValueError("block range outside the share payload")
     key_material = recover_key([(s.share_index, s.key_share) for s in chosen], params.m)
     algorithm = chosen[0].rrsg_algorithm
-    streams = _open_streams(params, key_material, algorithm, block_start + block_count)
+    stream = _open_stream(params, key_material, algorithm, block_start + block_count)
     indices = [s.share_index for s in chosen]
     # slices of a view are not copies; a payload left in its file reads its slices
     payloads = [s.payload for s in chosen]
@@ -219,7 +220,7 @@ def recover_stream(shares: list[Share], block_range: tuple[int, int] | None = No
     def chunks():
         for start, count in _engine.chunks(params, block_start, block_count):
             rows = [p[start : start + count] for p in payloads]
-            blocks = _engine.recover_padded(rows, indices, params, streams, start)
+            blocks = _engine.recover_padded(rows, indices, params, stream, start)
             if block_range is None and start + count == total:
                 yield unpad(blocks.tobytes(), params.m)
             else:

@@ -150,7 +150,12 @@ def decode_share(data: bytes) -> Share:
 
 
 class _FilePayload:
-    """A payload left in its open file: len() is its length, and a slice seeks and reads."""
+    """A payload left in its open file: len() is its length, and a slice reads it from the file.
+
+    A slice is read with os.pread, past the file object's buffer, so a
+    file cut after it was opened is seen by the first read that reaches
+    the cut.
+    """
 
     def __init__(self, file: BinaryIO, offset: int, length: int):
         self.file, self.offset, self.length = file, offset, length
@@ -160,12 +165,14 @@ class _FilePayload:
 
     def __getitem__(self, blocks: slice) -> bytes:
         start, stop, _ = blocks.indices(self.length)
-        count = stop - start
-        self.file.seek(self.offset + start)
-        data = self.file.read(count)
-        if len(data) != count:
-            raise TruncatedError(f"{self.file.name}: payload ends before block {stop}")
-        return data
+        parts, at, end = [], self.offset + start, self.offset + stop
+        while at < end:
+            data = os.pread(self.file.fileno(), end - at, at)
+            if not data:
+                raise TruncatedError(f"{self.file.name}: payload ends before block {stop}")
+            parts.append(data)
+            at += len(data)
+        return b"".join(parts)
 
 
 def open_share(file: BinaryIO) -> Share:

@@ -1,11 +1,16 @@
 """Direct checks of the vectorized engine against the scalar block oracle."""
 
+import secrets
+
 import numpy as np
 import pytest
 
+import helpers
 from helpers import REF_FIELDS, derive_eval_points, eval_block, gf_inv, mul_table, select_field
-from sbshare import _engine
-from sbshare.shamir import FieldPolicy
+from sbshare import _engine, rrsg, scheme
+from sbshare.rrsg import SEED_LEN, Algorithm
+from sbshare.scheme import combine, recover_range, split
+from sbshare.shamir import FieldPolicy, SchemeParams
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 16, 17, 128, 255])
@@ -140,3 +145,52 @@ def test_field_indices_match_oracle(policy):
     words[0], words[1] = 0, 255
     got = [REF_FIELDS[i] for i in _engine.field_indices(words, policy)]
     assert got == [select_field(w.tobytes(), policy) for w in words]
+
+
+SHAPES = [
+    SchemeParams(n=5, m=3),
+    SchemeParams(n=5, m=3, dual_seed=True),
+    SchemeParams(n=32, m=16, dual_seed=True),
+    SchemeParams(n=6, m=2, field_policy=FieldPolicy.FIXED_CANONICAL, dual_seed=True),
+]
+
+
+@pytest.mark.parametrize("params", SHAPES, ids=["single", "dual", "wide-dual", "dual-fixed"])
+@pytest.mark.parametrize("algorithm", list(Algorithm))
+def test_keystream_blocks_match_each_seed_read_on_its_own(params, algorithm):
+    # the op's one stream against helpers.open_streams, which reads each
+    # seed's stream by itself: a block's masks, points and field are the
+    # oracle's, for one seed or two, from any first block
+    key_material = secrets.token_bytes(SEED_LEN * len(_engine.stream_widths(params)))
+    main, aux = helpers.open_streams(key_material, algorithm, params.dual_seed)
+    blocks = [helpers._block_randomness(params, main, aux) for _ in range(12)]
+    stream = scheme._open_stream(params, key_material, algorithm, 12)
+    for start, count in [(0, 12), (5, 7), (11, 1), (3, 0)]:
+        mask, x, f = _engine.keystream_blocks(params, stream, start, count)
+        want = blocks[start : start + count]
+        assert mask.shape == (params.m, count) and mask.flags.c_contiguous
+        assert mask.T.tobytes() == b"".join(b.mask_words for b in want)
+        assert [tuple(col) for col in x.T.tolist()] == [derive_eval_points(b.point_words) for b in want]
+        got = [REF_FIELDS[i] for i in f]
+        assert got == [select_field(b.field_words, params.field_policy) for b in want]
+
+
+@pytest.mark.parametrize("dual_seed", [False, True])
+def test_each_small_op_runs_one_chacha20_batch(monkeypatch, dual_seed):
+    # one stream per op: however many seeds, a run of blocks under the
+    # batch cap is one call of the ChaCha20 kernel
+    params = SchemeParams(n=32, m=16, dual_seed=dual_seed)
+    calls = []
+    kernel = rrsg._chacha20_into
+
+    def counted(out, *args):
+        calls.append(len(out))
+        return kernel(out, *args)
+
+    monkeypatch.setattr(rrsg, "_chacha20_into", counted)
+    secret = secrets.token_bytes(32)
+    shares = split(secret, params)
+    assert len(calls) == 1
+    assert combine(shares[3:19]) == secret
+    assert recover_range(shares[:16], 1, 1) == secret[16:32]
+    assert len(calls) == 3

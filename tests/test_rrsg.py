@@ -1,11 +1,13 @@
 """Keystream generator tests: golden vectors, repeatability, seeking."""
 
+import numpy as np
 import pytest
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import CHI2_THRESHOLD_255_P999, chi_square_256
+from sbshare import rrsg
 from sbshare.rrsg import (
     KEY_LEN,
     NONCE_LEN,
@@ -154,6 +156,83 @@ class TestCapacity:
 
     def test_test_lcg_never_ends(self):
         check_capacity(Algorithm.TEST_LCG, 1 << 60, (1 << 10, 1 << 10))
+
+
+def oracle(algorithm, seed: Seed, offset: int, count: int) -> bytes:
+    if algorithm == Algorithm.CHACHA20:
+        return chacha_oracle(seed, offset, count)
+    return lcg_oracle(seed, offset + count)[offset:]
+
+
+class TestTwoSeeds:
+    """One stream over two seeds: block b is seed 0's words of block b, then seed 1's."""
+
+    SEEDS = [Seed(bytes(range(KEY_LEN)), b"\x01" * NONCE_LEN), Seed(b"\x5a" * KEY_LEN, b"\x02" * NONCE_LEN)]
+
+    @pytest.mark.parametrize("algorithm", list(Algorithm))
+    @pytest.mark.parametrize("widths", [(16, 36), (3, 9), (1, 1), (100, 7)])
+    @pytest.mark.parametrize("cap", [1, 3, rrsg._MAX_BATCH_BLOCKS])
+    def test_matches_the_per_block_join_of_the_seeds(self, monkeypatch, algorithm, widths, cap):
+        # the oracle's layout, main.read(w0) + aux.read(w1) a block at a
+        # time, at offsets off a block and off 64 words, over batch caps
+        # that put seams inside and between the seeds' runs
+        monkeypatch.setattr(rrsg, "_MAX_BATCH_BLOCKS", cap)
+        (w0, w1), nblocks = widths, 200
+        main = oracle(algorithm, self.SEEDS[0], 0, nblocks * w0)
+        aux = oracle(algorithm, self.SEEDS[1], 0, nblocks * w1)
+        joined = b"".join(
+            main[b * w0 : (b + 1) * w0] + aux[b * w1 : (b + 1) * w1] for b in range(nblocks)
+        )
+        width = w0 + w1
+        stream = new_stream(self.SEEDS, algorithm, widths)
+        assert stream.read(len(joined)) == joined
+        reads = [(0, 0), (0, width), (5, 1), (width + 3, 2 * width), (64 * 3 + 1, 130), (7, 40 * width - 9)]
+        for offset, count in reads:
+            stream.seek(offset)
+            assert stream.read(count) == joined[offset : offset + count]
+            assert stream.position == offset + count
+
+    def test_one_seed_is_its_own_stream_whatever_its_width(self):
+        seed = self.SEEDS[0]
+        for width in (1, 7, 64):
+            stream = new_stream([seed], Algorithm.CHACHA20, (width,))
+            stream.seek(5)
+            assert stream.read(200) == chacha_oracle(seed, 5, 200)
+
+    def test_long_read_crosses_the_batch_cap(self):
+        # more than 16384 ChaCha20 blocks in one read, seed 0's run ending
+        # past the first seam
+        widths = (48, 4)
+        nblocks = 64 * 16384 // 48 + 100
+        main = chacha_oracle(self.SEEDS[0], 0, nblocks * 48)
+        aux = chacha_oracle(self.SEEDS[1], 0, nblocks * 4)
+        stream = new_stream(self.SEEDS, Algorithm.CHACHA20, widths)
+        joined = np.hstack(
+            [np.frombuffer(main, np.uint8).reshape(nblocks, 48), np.frombuffer(aux, np.uint8).reshape(nblocks, 4)]
+        )
+        assert stream.read(nblocks * 52) == joined.tobytes()
+
+    @pytest.mark.parametrize("widths", [(64, 128), (128, 64)])
+    def test_either_seed_running_out_raises_and_keeps_the_position(self, widths):
+        # the wider seed uses its last word at block 2^38 / max(widths) - 1
+        last = (1 << 38) // max(widths) - 1
+        width = sum(widths)
+        stream = new_stream(self.SEEDS, Algorithm.CHACHA20, widths)
+        stream.seek(last * width)
+        words = stream.read(width)
+        w0 = widths[0]
+        assert words[:w0] == chacha_oracle(self.SEEDS[0], last * w0, w0)
+        assert words[w0:] == chacha_oracle(self.SEEDS[1], last * widths[1], widths[1])
+        for offset, count in [(last * width, width + 1), ((last + 1) * width, 1)]:
+            stream.seek(offset)
+            with pytest.raises(ValueError, match="exhausted"):
+                stream.read(count)
+            assert stream.position == offset
+
+    def test_needs_one_positive_width_per_seed(self):
+        for widths in [(1,), (1, 2, 3), (0, 4)]:
+            with pytest.raises(ValueError, match="width"):
+                new_stream(self.SEEDS, Algorithm.CHACHA20, widths)
 
 
 class TestLcg:

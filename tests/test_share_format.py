@@ -249,26 +249,29 @@ class TestOpenShare:
 
     def test_file_cut_after_opening_is_named_when_a_read_reaches_the_cut(self, tmp_path):
         # the header matched the file's size when it was opened, so only a
-        # payload read that reaches the cut can see it.  Each payload is
-        # 20,001 bytes, well past the 8 KiB that the file's buffer holds
-        # from the header read: bytes in that buffer outlive a cut.
+        # payload read that reaches the cut can see it.  Payloads of 20,001
+        # bytes run past the 8 KiB that the file's buffer holds from the
+        # header read; payloads of 100 bytes lie wholly inside it, so a
+        # read through that buffer would miss the cut.
         params = SchemeParams(n=5, m=3)
-        message = secrets.token_bytes(60_000)
-        padded = pad(message, params.m)
-        paths = []
-        for share in split(message, params)[1:4]:
-            paths.append(tmp_path / f"share.{share.share_index}.sbs1")
-            paths[-1].write_bytes(encode_share(share))
-        cut = paths[1]
-        with ExitStack() as stack:
-            shares = [open_share(stack.enter_context(open(p, "rb"))) for p in paths]
-            os.truncate(cut, cut.stat().st_size - 3)
-            nblocks = shares[0].block_count
-            assert recover_range(shares, 0, nblocks - 3) == padded[: (nblocks - 3) * 3]
-            for op in (lambda: combine(shares), lambda: recover_range(shares, nblocks - 3, 1)):
-                with pytest.raises(TruncatedError) as err:
-                    op()
-                assert str(err.value).startswith(f"{cut}: payload ends before block ")
+        for size in (60_000, 297):
+            message = secrets.token_bytes(size)
+            padded = pad(message, params.m)
+            paths = []
+            for share in split(message, params)[1:4]:
+                paths.append(tmp_path / f"{size}.{share.share_index}.sbs1")
+                paths[-1].write_bytes(encode_share(share))
+            cut = paths[1]
+            with ExitStack() as stack:
+                shares = [open_share(stack.enter_context(open(p, "rb"))) for p in paths]
+                os.truncate(cut, cut.stat().st_size - 3)
+                nblocks = shares[0].block_count
+                assert nblocks == size // 3 + 1
+                assert recover_range(shares, 0, nblocks - 3) == padded[: (nblocks - 3) * 3]
+                for op in (lambda: combine(shares), lambda: recover_range(shares, nblocks - 3, 1)):
+                    with pytest.raises(TruncatedError) as err:
+                        op()
+                    assert str(err.value).startswith(f"{cut}: payload ends before block ")
 
 
 class TestQuickFuzz:
