@@ -26,7 +26,9 @@ isomorphism, _TO0[f << 8 | a] = phi_f(a), and its results back through
 _FROM0.  Interpolation is Newton's divided differences (Knuth, TAOCP
 Vol. 2, 4.6.4), m(m - 1) gathers per block.  Both transforms work in
 slices of _SLICE_WORDS words that keep their uint16 index temporaries a
-fixed size.
+fixed size.  Points are linear probing (ibid., Vol. 3, 6.4, Algorithm L):
+on runs of at most n^2 blocks in sorted rounds, as many as the longest
+probe (a median of 3-6 at n=32), on wider runs in n - 1 passes.
 
 split_payloads and recover_padded transform one run of blocks from any
 block_start: a block's transform reads only its own keystream words,
@@ -47,39 +49,6 @@ from .rrsg import RrsgStream
 FIELD0_POLY = 0x11B
 _SLICE_WORDS = 1 << 15
 _CHUNK_WORDS = 1 << 18
-
-
-def mobius(k: int) -> int:
-    """Mobius function: 0 if k has a squared prime factor, else (-1)^(#prime factors)."""
-    if k < 1:
-        raise ValueError("mobius is defined for positive integers only")
-    nfactors = 0
-    d = 2
-    while d * d <= k:
-        if k % d == 0:
-            k //= d
-            if k % d == 0:
-                return 0
-            nfactors += 1
-        d += 1
-    if k > 1:
-        nfactors += 1
-    return -1 if nfactors % 2 else 1
-
-
-def count_irreducible(degree: int) -> int:
-    """Number of irreducible polynomials of the given degree over GF(2).
-
-    Computed by inclusion-exclusion over the divisors of the degree:
-    (1/degree) * sum over d | degree of mobius(degree/d) * 2^d.
-    """
-    if not 1 <= degree <= 30:
-        raise ValueError("degree must be in 1..30")
-    total = sum(
-        mobius(degree // d) * (1 << d) for d in range(1, degree + 1) if degree % d == 0
-    )
-    assert total % degree == 0
-    return total // degree
 
 
 def _rows(a: np.ndarray) -> np.ndarray:
@@ -111,7 +80,6 @@ def _field0_tables() -> tuple:
 
 
 FIELDS, _MUL, _DIV, _TO0, _FROM0 = _field0_tables()
-assert len(FIELDS) == count_irreducible(8)
 
 
 def _slices(nblocks: int, width: int):
@@ -124,20 +92,27 @@ def derive_points(point_words: np.ndarray) -> np.ndarray:
 
     Point i is 1 + (word_i mod 255), probed upward (255 wraps to 1)
     past the points already taken in its block; the probe reads no more
-    words, so every block consumes the same number.  The points are
-    built in one (n, B) copy of the words, so point i is checked against
-    the earlier points of every block by one contiguous compare, and
-    only the blocks where it collides are probed.  The input is never
-    written: it may be a read-only keystream view.
+    words, so every block consumes the same number.  Runs of at most n^2
+    blocks take sorted rounds, wider ones the probe itself.  A round
+    moves a point only past a cell that a lower index holds, and a held
+    cell stays held by a lower index, so both give the probe's points.
+    The input is never written: it may be a read-only keystream view.
     """
     nblocks, n = point_words.shape
     if n > 255:
         raise ValueError("cannot derive more than 255 distinct nonzero points")
+    # rounds sort every block, passes touch only the colliding ones: at n=32 rounds
+    # ran 10x as fast on 3 blocks, 1.6x on 1,024 and 0.64x on 4,097 (2-vCPU Xeon)
+    return (_points_in_rounds if nblocks <= n * n else _points_by_probing)(point_words)
+
+
+def _points_by_probing(point_words: np.ndarray) -> np.ndarray:
+    """derive_points in n - 1 passes, pass i probing point i where it collides."""
     x = np.array(point_words.T, dtype=np.uint8, order="C")
     # 1 + (w mod 255) without a modulo: w + 1 wraps 255 to 0, raised to 1
     x += 1
     np.maximum(x, 1, out=x)
-    for i in range(1, n):
+    for i in range(1, len(x)):
         cols = np.flatnonzero((x[:i] == x[i]).any(axis=0))
         taken, cand = x[:i, cols], x[i, cols]
         while len(cols):
@@ -147,6 +122,28 @@ def derive_points(point_words: np.ndarray) -> np.ndarray:
             keep = (taken == cand).any(axis=0)
             cols, cand, taken = cols[keep], cand[keep], taken[:, keep]
     return x
+
+
+def _points_in_rounds(point_words: np.ndarray) -> np.ndarray:
+    """derive_points in rounds on keys cell << 8 | i, until no point moves."""
+    nblocks, n = point_words.shape
+    index = np.arange(256, 256 + n, dtype=np.uint16)
+    keys = np.left_shift(point_words, 8, dtype=np.uint16)
+    keys += index  # cell w + 1 beside index i: w = 255 wraps to cell 0, raised to 1
+    np.maximum(keys, index, out=keys)
+    # resolved blocks stay in the sort, where nothing moves: dropping them each
+    # round cost more than sorting them again at n <= 32 (1.7-2x on 3 blocks)
+    while True:
+        keys.sort(axis=1)  # a point whose cell its sorted predecessor holds moves up one
+        cells = keys >> 8
+        moved = cells[:, 1:] == cells[:, :-1]
+        if not moved.any():
+            break
+        keys[:, 1:] += np.left_shift(moved, 8, dtype=np.uint16)
+        keys[keys < 256] += 256  # 255 wrapped to cell 0: on to 1
+    out = np.empty((n, nblocks), dtype=np.uint8)
+    out[keys & 255, np.arange(nblocks)[:, None]] = cells
+    return out
 
 
 def field_indices(field_words: np.ndarray, policy: shamir.FieldPolicy) -> np.ndarray:

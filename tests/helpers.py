@@ -198,6 +198,39 @@ def ref_is_irreducible_octic(poly: int) -> bool:
     return all(ref_poly_mod(poly, d) != 0 for d in range(2, 32))
 
 
+def mobius(k: int) -> int:
+    """Mobius function: 0 if k has a squared prime factor, else (-1)^(#prime factors)."""
+    if k < 1:
+        raise ValueError("mobius is defined for positive integers only")
+    nfactors = 0
+    d = 2
+    while d * d <= k:
+        if k % d == 0:
+            k //= d
+            if k % d == 0:
+                return 0
+            nfactors += 1
+        d += 1
+    if k > 1:
+        nfactors += 1
+    return -1 if nfactors % 2 else 1
+
+
+def count_irreducible(degree: int) -> int:
+    """Number of irreducible polynomials of the given degree over GF(2).
+
+    Computed by inclusion-exclusion over the divisors of the degree:
+    (1/degree) * sum over d | degree of mobius(degree/d) * 2^d.
+    """
+    if not 1 <= degree <= 30:
+        raise ValueError("degree must be in 1..30")
+    total = sum(
+        mobius(degree // d) * (1 << d) for d in range(1, degree + 1) if degree % d == 0
+    )
+    assert total % degree == 0
+    return total // degree
+
+
 #: The oracle's fields, each its reduction polynomial; a field's index is
 #: its position here.
 REF_FIELDS = tuple(p for p in range(0x100, 0x200) if ref_is_irreducible_octic(p))

@@ -47,7 +47,7 @@ def report(criterion: int, detail: str, started: float) -> None:
 
 def test_criterion_01_irreducible_counts_and_enumeration():
     started = time.perf_counter()
-    assert [_engine.count_irreducible(d) for d in range(4, 17)] == TABLE_COUNTS
+    assert [helpers.count_irreducible(d) for d in range(4, 17)] == TABLE_COUNTS
     fields = _engine.FIELDS
     assert len(fields) == 30
     for poly in fields:

@@ -98,26 +98,53 @@ def test_no_blocks():
         assert _engine.field_indices(np.zeros((0, 4), np.uint8), policy).shape == (0,)
 
 
-@pytest.mark.parametrize("n", [1, 2, 128, 255])
-def test_derive_points_matches_oracle_row_by_row(n):
-    rng = np.random.default_rng(n)
-    words = np.concatenate(
-        [np.zeros((1, n), np.uint8), np.full((1, n), 254, np.uint8), rng.integers(0, 256, (64, n), np.uint8)]
-    )
+def _block_counts(ns, nblocks):
+    """(n, nblocks) cases: nblocks at each of ns, and n^2 and n^2 + 1 on both sides of the size test."""
+    cases = [pytest.param(n, nblocks, id=str(n)) for n in ns]
+    for n in (1, 2, 5, 16, 32):
+        cases += [pytest.param(n, b, id=f"{n}-{b}") for b in (n * n, n * n + 1)]
+    return cases
+
+
+@pytest.mark.parametrize("n,nblocks", _block_counts([1, 2, 128, 255], 66))
+def test_derive_points_matches_oracle_row_by_row(n, nblocks):
+    # rows of equal words put every point on one candidate: at n=255
+    # the probe runs 254 steps and the rounds their most, n - 1
+    rng = np.random.default_rng([n, nblocks])
+    words = rng.integers(0, 256, (nblocks, n), np.uint8)
+    words[:4] = np.array([0, 254, 255, 97], np.uint8)[: len(words), None]
     points = _engine.derive_points(words).T
     for row, got in zip(words, points):
         assert tuple(got.tolist()) == derive_eval_points(row.tobytes())
 
 
-@pytest.mark.parametrize("n", [5, 32, 64, 255])
+@pytest.mark.parametrize("n,nblocks", _block_counts([5, 32, 64, 255], 48))
 @pytest.mark.parametrize("low,high", [(0, 4), (250, 256)])
-def test_derive_points_long_probe_runs(n, low, high):
+def test_derive_points_long_probe_runs(n, nblocks, low, high):
     # words from a few adjacent values collide on nearly every point, so
     # probes run long, and from 250..255 they wrap 255 to 1
-    words = np.random.default_rng([n, low]).integers(low, high, (48, n), np.uint8)
+    words = np.random.default_rng([n, low, nblocks]).integers(low, high, (nblocks, n), np.uint8)
     points = _engine.derive_points(words).T
     for row, got in zip(words, points):
         assert tuple(got.tolist()) == derive_eval_points(row.tobytes())
+
+
+@pytest.mark.parametrize("n,nblocks", [(5, 3000), (32, 4097), (2, 9), (32, 64), (255, 16)])
+@pytest.mark.parametrize("low,high", [(0, 256), (0, 4), (250, 256)])
+def test_both_ways_of_deriving_points_agree_on_any_run(n, nblocks, low, high):
+    # each way on runs the other is chosen for: the rounds on chunks far
+    # wider than n^2, the probe on a few blocks, both on read-only,
+    # strided keystream views
+    raw = np.random.default_rng([n, nblocks, low]).integers(low, high, (nblocks, n + 3), np.uint8)
+    raw[0] = 255
+    buf = np.frombuffer(raw.tobytes(), dtype=np.uint8).reshape(raw.shape)
+    words = buf[:, 1 : n + 1]
+    assert not words.flags.writeable and not words.flags.c_contiguous
+    rounds = _engine._points_in_rounds(words)
+    assert rounds.shape == (n, nblocks) and rounds.dtype == np.uint8
+    assert np.array_equal(rounds, _engine._points_by_probing(words))
+    assert np.array_equal(rounds, _engine.derive_points(words))
+    assert buf.tobytes() == raw.tobytes()
 
 
 @pytest.mark.parametrize("n,m", [(1, 1), (5, 3), (32, 16), (255, 128)])

@@ -1,7 +1,8 @@
 """The field catalogue, and the library's arithmetic checked in every field.
 
 The library's catalogue, _engine.FIELDS, is read off field 0's tables;
-here it must equal the oracle's trial-division scan.
+here it must equal the oracle's trial-division scan, and its length the
+count of irreducible octics that helpers.count_irreducible gives.
 
 A product in field f takes the library's route: into field 0 through
 phi_f (_engine._TO0), one gather from field 0's _MUL, and back through
@@ -12,7 +13,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import REF_FIELDS, gf_inv, ref_is_irreducible_octic, shift_reduce_mul
+from helpers import (
+    REF_FIELDS,
+    count_irreducible,
+    gf_inv,
+    mobius,
+    ref_is_irreducible_octic,
+    shift_reduce_mul,
+)
 from sbshare import _engine
 
 # Published irreducible-polynomial counts for GF(2^d), d = 4..16.
@@ -35,13 +43,13 @@ def div(f: int, a: int, b: int) -> int:
 
 class TestMobius:
     def test_examples(self):
-        assert _engine.mobius(1) == 1
-        assert _engine.mobius(6) == 1
-        assert _engine.mobius(4) == 0
+        assert mobius(1) == 1
+        assert mobius(6) == 1
+        assert mobius(4) == 0
 
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
-            _engine.mobius(0)
+            mobius(0)
 
     @given(st.integers(min_value=1, max_value=5000))
     def test_matches_naive_factorization(self, k):
@@ -55,26 +63,26 @@ class TestMobius:
         if n > 1:
             factors.append(n)
         if len(set(factors)) != len(factors):
-            assert _engine.mobius(k) == 0
+            assert mobius(k) == 0
         else:
-            assert _engine.mobius(k) == (-1) ** len(factors)
+            assert mobius(k) == (-1) ** len(factors)
 
 
 class TestCountIrreducible:
     def test_published_counts(self):
-        assert [_engine.count_irreducible(d) for d in range(4, 17)] == TABLE_COUNTS
+        assert [count_irreducible(d) for d in range(4, 17)] == TABLE_COUNTS
 
     def test_degree_bounds(self):
         with pytest.raises(ValueError):
-            _engine.count_irreducible(0)
+            count_irreducible(0)
         with pytest.raises(ValueError):
-            _engine.count_irreducible(31)
+            count_irreducible(31)
 
     def test_dimension_identity(self):
         # Every element of GF(2^n) has a minimal polynomial whose degree
         # divides n, so the counts must satisfy sum(d * N(d) for d | n) = 2^n.
         for n in range(1, 17):
-            total = sum(d * _engine.count_irreducible(d) for d in range(1, n + 1) if n % d == 0)
+            total = sum(d * count_irreducible(d) for d in range(1, n + 1) if n % d == 0)
             assert total == 2**n
 
 
@@ -82,7 +90,7 @@ class TestEnumeration:
     def test_thirty_octics(self):
         fields = _engine.FIELDS
         assert len(fields) == 30
-        assert len(fields) == _engine.count_irreducible(8)
+        assert len(fields) == count_irreducible(8)
 
     def test_matches_trial_division_scan(self):
         expected = [p for p in range(0x100, 0x200) if ref_is_irreducible_octic(p)]
