@@ -17,17 +17,15 @@ Two algorithms are provided:
   be used to protect real data.  A read jumps to its offset in O(log
   offset), then steps 4096 words at a time by tables built at import.
 
-ChaCha20 runs in numpy in the row layout of SIMD implementations: the
-state of a batch of B blocks is four (4, B) row sets a, b, c, d, so one
-in-place numpy call does a step of four quarter rounds on every block,
-and the diagonal rounds rotate the rows of b, c and d.  That is about
-460 numpy calls per batch of up to 16384 blocks, so short reads are
-cheap, and one batch serves every seed of a read.  OpenSSL's ChaCha20
-(``cryptography``) is ten times faster on megabyte reads, but importing
-it costs every fresh process about 7 MiB of resident memory and 12 ms;
-it stays a test-only oracle.
+ChaCha20 is OpenSSL's, called through ctypes in the libcrypto that
+CPython's ``hashlib`` already maps, so it costs no import; a read
+encrypts zeros in place.  At import, RFC 8439's test block checks the
+binding.  The ``cryptography`` package's ChaCha20 stays a test oracle:
+importing it costs every fresh process about 7 MiB of resident memory.
 """
 
+import _hashlib
+import ctypes
 import secrets
 from dataclasses import dataclass
 from enum import IntEnum
@@ -124,94 +122,72 @@ class RrsgStream:
 # -- ChaCha20 ----------------------------------------------------------
 
 _CHACHA_BLOCK = 64
-_CHACHA_CONST = np.array([0x61707865, 0x3320646E, 0x79622D32, 0x6B206574], dtype=np.uint32)
-# Cap working-set size when generating long runs: 16384 blocks = 1 MiB.
-_MAX_BATCH_BLOCKS = 16384
-# _LANES[k][i] = (i + k) % 4: row i of a rotated row set is old row i + k.
-_LANES = [np.roll(np.arange(4), -k) for k in range(4)]
-# Left rotations of the quarter round's four steps, as (r, 32 - r).
-_ROTATIONS = [(np.uint32(r), np.uint32(32 - r)) for r in (16, 12, 8, 7)]
+# EVP_EncryptUpdate takes a C int length, so a run is fed to it in
+# pieces of at most this many blocks (1 MiB).
+_UPDATE_BLOCKS = 16384
+# dlsym on _hashlib's handle also searches the libcrypto it links
+_CRYPTO = ctypes.CDLL(_hashlib.__file__)
 
 
-def _round(a, b, c, d, t):
-    """One ChaCha round: the quarter round of lane i on rows a[i], b[i], c[i], d[i]."""
-    for (x, y, z), (left, right) in zip(((a, b, d), (c, d, b)) * 2, _ROTATIONS):
-        x += y
-        z ^= x
-        np.right_shift(z, right, out=t)
-        z <<= left
-        z |= t
+def _bind(name: str, restype, *argtypes):
+    try:
+        function = getattr(_CRYPTO, name)
+    except AttributeError:
+        raise ImportError(f"no {name} in the libcrypto that {_hashlib.__file__} links") from None
+    function.restype, function.argtypes = restype, argtypes
+    return function
 
 
-def _chacha20_into(out: np.ndarray, init: np.ndarray, counts, counter: np.ndarray) -> None:
-    """Fill out, (B, 16) words, with counts[0] blocks of seed 0, then counts[1] of seed 1, ...
+_ptr, _int, _bytes = ctypes.c_void_p, ctypes.c_int, ctypes.c_char_p
+_CHACHA20 = _bind("EVP_chacha20", _ptr)()
+_EVP_CIPHER_CTX_new = _bind("EVP_CIPHER_CTX_new", _ptr)
+_EVP_CIPHER_CTX_free = _bind("EVP_CIPHER_CTX_free", None, _ptr)
+_EVP_EncryptInit_ex = _bind("EVP_EncryptInit_ex", _int, _ptr, _ptr, _ptr, _bytes, _bytes)
+_EVP_EncryptUpdate = _bind("EVP_EncryptUpdate", _int, _ptr, _ptr, ctypes.POINTER(_int), _ptr, _int)
+_LIBCRYPTO = _bind("OpenSSL_version", _bytes, _int)(0).decode()
 
-    init holds each seed's 16 input words as a column, with a zero
-    counter; block k's is counter[k].  Each of a, b, c, d is a (4, B)
-    set of rows of the state, so one numpy call serves four quarter
-    rounds; rotating the rows of b, c and d by 1, 2 and 3 lines up the
-    diagonals as columns, and rotating back restores them.  The four
-    are separate arrays, rotated one at a time, so a batch holds one
-    spare row set while it rotates, not the state and three more.
-    """
-    a, b, c, d = (np.repeat(init[4 * k : 4 * k + 4], counts, axis=1) for k in range(4))
-    d[0] = counter
-    t = np.empty_like(a)
-    for _ in range(10):
-        _round(a, b, c, d, t)
-        b = b[_LANES[1]]
-        c = c[_LANES[2]]
-        d = d[_LANES[3]]
-        _round(a, b, c, d, t)
-        b = b[_LANES[3]]
-        c = c[_LANES[2]]
-        d = d[_LANES[1]]
-    rows = out.T
-    for k, v in enumerate((a, b, c, d)):
-        rows[4 * k : 4 * k + 4] = v
-    start = 0
-    for column, count in zip(init.T, counts):
-        out[start : start + count] += column
-        start += count
-    rows[12] += counter
+
+def _evp_failed(name: str) -> RuntimeError:
+    return RuntimeError(f"{name} failed in {_LIBCRYPTO}; no keystream was produced")
+
+
+def _keystream(ctx, seed: Seed, start: int, count: int) -> np.ndarray:
+    """seed's words [start, start + count): zeros encrypted in place from the block holding start."""
+    block, offset = divmod(start, _CHACHA_BLOCK)
+    iv = block.to_bytes(4, "little") + seed.nonce  # OpenSSL's IV: the 32-bit block counter, the nonce
+    if _EVP_EncryptInit_ex(ctx, _CHACHA20, None, seed.key, iv) != 1:
+        raise _evp_failed("EVP_EncryptInit_ex")
+    buf = np.zeros(offset + count, dtype=np.uint8)
+    address, written, step = buf.ctypes.data, ctypes.c_int(), _UPDATE_BLOCKS * _CHACHA_BLOCK
+    for i in range(0, len(buf), step):
+        piece = min(step, len(buf) - i)
+        ok = _EVP_EncryptUpdate(ctx, address + i, ctypes.byref(written), address + i, piece)
+        if ok != 1 or written.value != piece:
+            raise _evp_failed("EVP_EncryptUpdate")
+    return buf[offset:]
 
 
 class _ChaCha20Stream(RrsgStream):
-    """ChaCha20 as in RFC 8439.
-
-    Input words: 4 constants, 8 key words, the 32-bit block counter and
-    3 nonce words, all little-endian.  A read computes every seed's
-    blocks in the same batches.
-    """
+    """ChaCha20 as in RFC 8439; a read runs every seed under one OpenSSL cipher context."""
 
     algorithm = Algorithm.CHACHA20
 
     def __init__(self, seeds: list[Seed], widths: tuple[int, ...]):
         super().__init__(widths)
-        words = [np.frombuffer(s.key + bytes(4) + s.nonce, dtype="<u4") for s in seeds]
-        self._init = np.stack([np.concatenate((_CHACHA_CONST, w)) for w in words], axis=1)
+        self._seeds = seeds
 
     def _runs(self, runs: list[tuple[int, int]]) -> list[np.ndarray]:
-        spans, total = [], 0  # each seed's first block, block count and first row of out
-        for start, count in runs:
-            block, offset = divmod(start, _CHACHA_BLOCK)
-            nblocks = (offset + count + _CHACHA_BLOCK - 1) // _CHACHA_BLOCK
-            if block + nblocks > 1 << 32:
-                raise ValueError("block counter space exhausted")
-            spans.append((block, nblocks, total))
-            total += nblocks
-        counter = np.concatenate([np.arange(b, b + k, dtype=np.uint64) for b, k, _ in spans])
-        counter = counter.astype(np.uint32)
-        out = np.empty((total, 16), dtype="<u4")
-        for i in range(0, total, _MAX_BATCH_BLOCKS):
-            j = min(i + _MAX_BATCH_BLOCKS, total)
-            counts = [max(0, min(j, first + k) - max(i, first)) for _, k, first in spans]
-            _chacha20_into(out[i:j], self._init, counts, counter[i:j])
-        words = out.reshape(-1).view(np.uint8)
-        return [
-            words[first * _CHACHA_BLOCK + start % _CHACHA_BLOCK :][:count]
-            for (_, _, first), (start, count) in zip(spans, runs)
-        ]
+        # a run ends in block 2^32 - 1 at the latest: OpenSSL would carry
+        # the counter into the nonce
+        if any(start + count > _CHACHA_BLOCK << 32 for start, count in runs):
+            raise ValueError("block counter space exhausted")
+        ctx = _EVP_CIPHER_CTX_new()
+        if not ctx:
+            raise _evp_failed("EVP_CIPHER_CTX_new")
+        try:
+            return [_keystream(ctx, seed, *run) for seed, run in zip(self._seeds, runs)]
+        finally:
+            _EVP_CIPHER_CTX_free(ctx)
 
 
 # -- Test LCG ----------------------------------------------------------
@@ -307,3 +283,23 @@ def check_capacity(algorithm: Algorithm | int, nblocks: int, widths: tuple[int, 
                 f"{nblocks} blocks need {nblocks * width} keystream words from one seed; "
                 "ChaCha20 gives at most 2^38"
             )
+
+
+def _check_libcrypto() -> None:
+    """Raise ImportError unless the bound ChaCha20 gives RFC 8439's test block (section 2.3.2)."""
+    seed = Seed(bytes(range(KEY_LEN)), bytes.fromhex("000000090000004a00000000"))
+    stream = new_stream(seed, Algorithm.CHACHA20)
+    stream.seek(_CHACHA_BLOCK)
+    try:
+        words = stream.read(_CHACHA_BLOCK).hex()
+    except RuntimeError as exc:
+        raise ImportError(f"ChaCha20 is unusable: {exc}") from None
+    if words != (
+        "10f1e7e4d13b5915500fdd1fa32071c4c7d1f4c733c068030422aa9ac3d46c4e"
+        "d2826446079faa0914c2d705d98b02a2b5129cd1de164eb9cbd083e8a2503c4e"
+    ):
+        # another IV layout: masks would be other words than the format's
+        raise ImportError(f"ChaCha20 in {_LIBCRYPTO} does not give the RFC 8439 test block")
+
+
+_check_libcrypto()

@@ -10,7 +10,10 @@ elimination, so it shares no arithmetic or algorithm with the library,
 which computes every field in field 0 through isomorphisms.  It keeps
 its own catalogue of fields too: REF_FIELDS, the 30 degree-8
 polynomials that trial division finds irreducible, ascending, and a
-field is its polynomial.
+field is its polynomial.  The library's keystream is OpenSSL's
+ChaCha20, and so is the cryptography package's, so chacha20_reference
+computes RFC 8439 in numpy as a keystream oracle that shares no code
+with OpenSSL.
 """
 
 from functools import lru_cache
@@ -39,6 +42,55 @@ class BlockRandomness(NamedTuple):
 
 class InterpolationError(ValueError):
     """Raised when an interpolation system is singular (duplicate points)."""
+
+
+# -- ChaCha20 in numpy ----------------------------------------------------
+
+_CHACHA_CONST = np.array([0x61707865, 0x3320646E, 0x79622D32, 0x6B206574], dtype=np.uint32)
+# _LANES[k][i] = (i + k) % 4: row i of a rotated row set is old row i + k.
+_LANES = [np.roll(np.arange(4), -k) for k in range(4)]
+# Left rotations of the quarter round's four steps, as (r, 32 - r).
+_ROTATIONS = [(np.uint32(r), np.uint32(32 - r)) for r in (16, 12, 8, 7)]
+
+
+def _round(a, b, c, d, t):
+    """One ChaCha round: the quarter round of lane i on rows a[i], b[i], c[i], d[i]."""
+    for (x, y, z), (left, right) in zip(((a, b, d), (c, d, b)) * 2, _ROTATIONS):
+        x += y
+        z ^= x
+        np.right_shift(z, right, out=t)
+        z <<= left
+        z |= t
+
+
+def _chacha20_into(out: np.ndarray, init: np.ndarray, counter: np.ndarray) -> None:
+    """Fill out, (B, 16) words, with B blocks of init's 16 input words, block k at counter[k].
+
+    The state of B blocks is four (4, B) row sets a, b, c, d, so one
+    numpy call serves four quarter rounds; rotating the rows of b, c and
+    d by 1, 2 and 3 lines up the diagonals as columns, and rotating back
+    restores them.
+    """
+    state = np.repeat(init[:, None], len(counter), axis=1)
+    state[12] = counter
+    a, b, c, d = (state[4 * k : 4 * k + 4].copy() for k in range(4))
+    t = np.empty_like(a)
+    for _ in range(10):
+        _round(a, b, c, d, t)
+        b, c, d = b[_LANES[1]], c[_LANES[2]], d[_LANES[3]]
+        _round(a, b, c, d, t)
+        b, c, d = b[_LANES[3]], c[_LANES[2]], d[_LANES[1]]
+    out.T[:] = np.concatenate((a, b, c, d)) + state
+
+
+def chacha20_reference(seed: Seed, offset: int, count: int) -> bytes:
+    """Words [offset, offset + count) of seed's RFC 8439 keystream, block counter from 0."""
+    block, skip = divmod(offset, 64)
+    nblocks = -(-(skip + count) // 64)
+    init = np.concatenate((_CHACHA_CONST, np.frombuffer(seed.key + bytes(4) + seed.nonce, dtype="<u4")))
+    out = np.empty((nblocks, 16), dtype="<u4")
+    _chacha20_into(out, init, np.arange(block, block + nblocks, dtype=np.uint32))
+    return out.tobytes()[skip : skip + count]
 
 
 def mask_words(data: bytes, mask: bytes) -> bytes:

@@ -204,20 +204,27 @@ def test_keystream_blocks_match_each_seed_read_on_its_own(params, algorithm):
 
 @pytest.mark.parametrize("dual_seed", [False, True])
 def test_each_small_op_runs_one_chacha20_batch(monkeypatch, dual_seed):
-    # one stream per op: however many seeds, a run of blocks under the
-    # batch cap is one call of the ChaCha20 kernel
+    # one stream per op: however many seeds, a small op is one keystream
+    # read, one run per seed under one OpenSSL cipher context
     params = SchemeParams(n=32, m=16, dual_seed=dual_seed)
     calls = []
-    kernel = rrsg._chacha20_into
+    runs = rrsg._ChaCha20Stream._runs
+    new_context = rrsg._EVP_CIPHER_CTX_new
 
-    def counted(out, *args):
-        calls.append(len(out))
-        return kernel(out, *args)
+    def counted(self, spans):
+        calls.append(len(spans))
+        return runs(self, spans)
 
-    monkeypatch.setattr(rrsg, "_chacha20_into", counted)
+    def counted_context():
+        calls.append("context")
+        return new_context()
+
+    monkeypatch.setattr(rrsg._ChaCha20Stream, "_runs", counted)
+    monkeypatch.setattr(rrsg, "_EVP_CIPHER_CTX_new", counted_context)
     secret = secrets.token_bytes(32)
     shares = split(secret, params)
-    assert len(calls) == 1
+    seeds = 2 if dual_seed else 1
+    assert calls == [seeds, "context"]
     assert combine(shares[3:19]) == secret
     assert recover_range(shares[:16], 1, 1) == secret[16:32]
-    assert len(calls) == 3
+    assert calls == [seeds, "context"] * 3

@@ -1,12 +1,18 @@
 """Keystream generator tests: golden vectors, repeatability, seeking."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import CHI2_THRESHOLD_255_P999, chi_square_256
+from helpers import CHI2_THRESHOLD_255_P999, chacha20_reference, chi_square_256
 from sbshare import rrsg
 from sbshare.rrsg import (
     KEY_LEN,
@@ -17,6 +23,8 @@ from sbshare.rrsg import (
     check_capacity,
     new_stream,
 )
+from sbshare.scheme import split
+from sbshare.shamir import SchemeParams
 
 ZERO_SEED = Seed(b"\x00" * KEY_LEN, b"\x00" * NONCE_LEN)
 
@@ -83,9 +91,13 @@ class TestChaCha20:
     @settings(max_examples=25, deadline=None)
     @given(seeds, st.integers(min_value=0, max_value=5000), st.integers(min_value=0, max_value=700))
     def test_matches_cryptography_package(self, seed, offset, count):
+        # the library and cryptography both run OpenSSL; the numpy
+        # reference shares no code with either
         stream = new_stream(seed, Algorithm.CHACHA20)
         stream.seek(offset)
-        assert stream.read(count) == chacha_oracle(seed, offset, count)
+        words = stream.read(count)
+        assert words == chacha_oracle(seed, offset, count)
+        assert words == chacha20_reference(seed, offset, count)
 
     def test_huge_offset_spans_blocks(self):
         seed = Seed.generate()
@@ -96,8 +108,8 @@ class TestChaCha20:
 
     @pytest.mark.parametrize("offset", [0, 37, 64 * 16383 + 5])
     def test_long_read_spans_batch_seams(self, offset):
-        # The keystream is computed 16384 blocks (1 MiB) at a time; these
-        # reads cross one or two of those seams at different alignments.
+        # The keystream is fed to OpenSSL 16384 blocks (1 MiB) at a time;
+        # these reads cross one or two of those seams at different alignments.
         seed = Seed(bytes(range(KEY_LEN)), bytes(range(100, 100 + NONCE_LEN)))
         stream = new_stream(seed, Algorithm.CHACHA20)
         stream.seek(offset)
@@ -171,12 +183,13 @@ class TestTwoSeeds:
 
     @pytest.mark.parametrize("algorithm", list(Algorithm))
     @pytest.mark.parametrize("widths", [(16, 36), (3, 9), (1, 1), (100, 7)])
-    @pytest.mark.parametrize("cap", [1, 3, rrsg._MAX_BATCH_BLOCKS])
+    @pytest.mark.parametrize("cap", [1, 3, rrsg._UPDATE_BLOCKS])
     def test_matches_the_per_block_join_of_the_seeds(self, monkeypatch, algorithm, widths, cap):
         # the oracle's layout, main.read(w0) + aux.read(w1) a block at a
-        # time, at offsets off a block and off 64 words, over batch caps
-        # that put seams inside and between the seeds' runs
-        monkeypatch.setattr(rrsg, "_MAX_BATCH_BLOCKS", cap)
+        # time, at offsets off a block and off 64 words, over caps on the
+        # 64-word blocks per OpenSSL update that put seams inside the
+        # seeds' runs
+        monkeypatch.setattr(rrsg, "_UPDATE_BLOCKS", cap)
         (w0, w1), nblocks = widths, 200
         main = oracle(algorithm, self.SEEDS[0], 0, nblocks * w0)
         aux = oracle(algorithm, self.SEEDS[1], 0, nblocks * w1)
@@ -201,7 +214,7 @@ class TestTwoSeeds:
 
     def test_long_read_crosses_the_batch_cap(self):
         # more than 16384 ChaCha20 blocks in one read, seed 0's run ending
-        # past the first seam
+        # past its first update seam
         widths = (48, 4)
         nblocks = 64 * 16384 // 48 + 100
         main = chacha_oracle(self.SEEDS[0], 0, nblocks * 48)
@@ -233,6 +246,124 @@ class TestTwoSeeds:
         for widths in [(1,), (1, 2, 3), (0, 4)]:
             with pytest.raises(ValueError, match="width"):
                 new_stream(self.SEEDS, Algorithm.CHACHA20, widths)
+
+
+class TestLibcrypto:
+    """The keystream is OpenSSL's ChaCha20, and it never returns unmasked words."""
+
+    SEED = Seed(bytes(range(KEY_LEN)), bytes(range(100, 100 + NONCE_LEN)))
+
+    @pytest.mark.parametrize("name", ["EVP_CIPHER_CTX_new", "EVP_EncryptInit_ex", "EVP_EncryptUpdate"])
+    def test_a_failed_call_raises(self, monkeypatch, name):
+        def failed(*args):
+            if name == "EVP_EncryptUpdate":
+                args[2]._obj.value = args[4]  # every byte reported written
+            return 0
+
+        monkeypatch.setattr(rrsg, "_" + name, failed)
+        stream = new_stream([self.SEED, self.SEED], Algorithm.CHACHA20, (3, 9))
+        stream.seek(5)
+        with pytest.raises(RuntimeError, match=name):
+            stream.read(100)
+        assert stream.position == 5
+        with pytest.raises(RuntimeError, match=name):
+            split(b"a secret", SchemeParams(n=5, m=3))
+
+    def test_a_short_update_raises(self, monkeypatch):
+        # success, but fewer bytes written than asked for
+        def short(ctx, out, written, inp, length):
+            written._obj.value = length - 1
+            return 1
+
+        monkeypatch.setattr(rrsg, "_EVP_EncryptUpdate", short)
+        with pytest.raises(RuntimeError, match="EVP_EncryptUpdate"):
+            new_stream(self.SEED, Algorithm.CHACHA20).read(64)
+
+    def test_update_pieces_are_whole_blocks_under_the_cap(self, monkeypatch):
+        # EVP_EncryptUpdate's length is a C int
+        assert rrsg._UPDATE_BLOCKS * 64 <= 2**31 - 1
+        monkeypatch.setattr(rrsg, "_UPDATE_BLOCKS", 3)
+        lengths = []
+        update = rrsg._EVP_EncryptUpdate
+
+        def recorded(ctx, out, written, inp, length):
+            lengths.append(length)
+            return update(ctx, out, written, inp, length)
+
+        monkeypatch.setattr(rrsg, "_EVP_EncryptUpdate", recorded)
+        stream = new_stream(self.SEED, Algorithm.CHACHA20)
+        stream.seek(70)
+        assert stream.read(700) == chacha_oracle(self.SEED, 70, 700)
+        # 6 words skipped in block 1, then 706 words from it
+        assert lengths == [192, 192, 192, 130]
+
+    def test_an_unusable_libcrypto_fails_the_import_check(self, monkeypatch):
+        monkeypatch.setattr(rrsg, "_EVP_EncryptUpdate", lambda *args: 0)
+        with pytest.raises(ImportError, match="unusable"):
+            rrsg._check_libcrypto()
+
+    def test_another_iv_layout_fails_the_import_check(self, monkeypatch):
+        # the nonce first and the counter last, as some libraries lay out the IV
+        init = rrsg._EVP_EncryptInit_ex
+
+        def swapped(ctx, cipher, engine, key, iv):
+            return init(ctx, cipher, engine, key, iv[4:] + iv[:4])
+
+        monkeypatch.setattr(rrsg, "_EVP_EncryptInit_ex", swapped)
+        with pytest.raises(ImportError, match="RFC 8439"):
+            rrsg._check_libcrypto()
+
+    @staticmethod
+    def fresh_interpreter(child: str) -> str:
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-c", child], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    def test_import_fails_on_a_failing_libcrypto(self):
+        # the import-time check runs on import: here every EVP_EncryptUpdate fails
+        child = (
+            "import ctypes\n"
+            "real = ctypes.CDLL\n"
+            "class Failing:\n"
+            "    def __init__(self, path):\n"
+            "        self.lib = real(path)\n"
+            "    def __getattr__(self, name):\n"
+            "        if name == 'EVP_EncryptUpdate':\n"
+            "            return lambda *args: 0\n"
+            "        return getattr(self.lib, name)\n"
+            "ctypes.CDLL = Failing\n"
+            "try:\n"
+            "    import sbshare\n"
+            "except ImportError as exc:\n"
+            "    print(exc)\n"
+        )
+        out = self.fresh_interpreter(child)
+        assert "ChaCha20 is unusable" in out and "EVP_EncryptUpdate failed" in out, out
+
+    def test_no_new_library_is_loaded(self):
+        # a fresh interpreter: sbshare brings in neither cryptography nor
+        # a libcrypto other than the one that _hashlib maps
+        child = (
+            "import json, os, sys\n"
+            "def libcrypto():\n"
+            "    if not os.path.exists('/proc/self/maps'):\n"
+            "        return None\n"
+            "    with open('/proc/self/maps') as f:\n"
+            "        return sorted({line.split()[-1] for line in f if 'libcrypto' in line})\n"
+            "import _hashlib\n"
+            "before = libcrypto()\n"
+            "import sbshare\n"
+            "sbshare.split(bytes(32), sbshare.SchemeParams(n=5, m=3))\n"
+            "print(json.dumps(['cryptography' in sys.modules, before, libcrypto()]))\n"
+        )
+        imported, before, after = json.loads(self.fresh_interpreter(child))
+        assert not imported
+        if before is not None:
+            assert len(before) == 1 and after == before, (before, after)
 
 
 class TestLcg:
