@@ -9,7 +9,7 @@ row i of the values is share i's payload.  Only the keystream words are
 block-major, (B, words), in the layout keystream_blocks alone knows: an
 op reads one stream, which gives a block's m + n + 4 words in the same
 order whatever the number of seeds.  split_payloads and recover_padded
-transpose the plaintext at the edge.
+transpose the plaintext at the edge, in its XOR with the masks.
 
 Field elements are bytes, bit i the coefficient of x^i.  FIELDS holds
 the 30 irreducible degree-8 reduction polynomials, encoded the same way
@@ -28,15 +28,15 @@ Vol. 2, 4.6.4), m(m - 1) gathers per block.  Both transforms work in
 slices of _SLICE_WORDS words that keep their uint16 index temporaries a
 fixed size.  Points are linear probing (ibid., Vol. 3, 6.4, Algorithm L):
 on runs of at most n^2 blocks in sorted rounds, as many as the longest
-probe (a median of 3-6 at n=32), on wider runs in n - 1 passes.
+probe (a median of 3-6 at n=32), on wider runs in n - 1 passes;
+recovery derives them only up to the highest share index it reads.
 
 split_payloads and recover_padded transform one run of blocks from any
 block_start: a block's transform reads only its own keystream words,
-which a seekable stream gives for any block, so runs are independent
-and the outputs of consecutive runs are the whole message's, cut at the
-seams.  chunks cuts a message into runs of about _CHUNK_WORDS keystream
-words, which scheme's chunk walks transform one at a time, so their
-working set does not grow with the message.
+which a seekable stream gives, so consecutive runs give the whole
+message's outputs, cut at the seams.  chunks cuts a message into runs of
+about _CHUNK_WORDS keystream words, which scheme's chunk walks transform
+one at a time, so their working set does not grow with the message.
 """
 
 from __future__ import annotations
@@ -92,7 +92,8 @@ def derive_points(point_words: np.ndarray) -> np.ndarray:
 
     Point i is 1 + (word_i mod 255), probed upward (255 wraps to 1)
     past the points already taken in its block; the probe reads no more
-    words, so every block consumes the same number.  Runs of at most n^2
+    words, so every block consumes the same number, and the first k
+    words of a block give its first k points.  Runs of at most n^2
     blocks take sorted rounds, wider ones the probe itself.  A round
     moves a point only past a cell that a lower index holds, and a held
     cell stays held by a lower index, so both give the probe's points.
@@ -109,9 +110,8 @@ def derive_points(point_words: np.ndarray) -> np.ndarray:
 def _points_by_probing(point_words: np.ndarray) -> np.ndarray:
     """derive_points in n - 1 passes, pass i probing point i where it collides."""
     x = np.array(point_words.T, dtype=np.uint8, order="C")
-    # 1 + (w mod 255) without a modulo: w + 1 wraps 255 to 0, raised to 1
-    x += 1
-    np.maximum(x, 1, out=x)
+    x += 1  # 1 + (w mod 255) without a modulo: w + 1 wraps 255 to 0, raised to 1
+    x += (x == 0).view(np.uint8)  # np.maximum(x, 1) takes numpy's slow scalar loop
     for i in range(1, len(x)):
         cols = np.flatnonzero((x[:i] == x[i]).any(axis=0))
         taken, cand = x[:i, cols], x[i, cols]
@@ -126,8 +126,7 @@ def _points_by_probing(point_words: np.ndarray) -> np.ndarray:
 
 def _points_in_rounds(point_words: np.ndarray) -> np.ndarray:
     """derive_points in rounds on keys cell << 8 | i, until no point moves."""
-    nblocks, n = point_words.shape
-    index = np.arange(256, 256 + n, dtype=np.uint16)
+    index = np.arange(256, 256 + point_words.shape[1], dtype=np.uint16)
     keys = np.left_shift(point_words, 8, dtype=np.uint16)
     keys += index  # cell w + 1 beside index i: w = 255 wraps to cell 0, raised to 1
     np.maximum(keys, index, out=keys)
@@ -141,22 +140,21 @@ def _points_in_rounds(point_words: np.ndarray) -> np.ndarray:
             break
         keys[:, 1:] += np.left_shift(moved, 8, dtype=np.uint16)
         keys[keys < 256] += 256  # 255 wrapped to cell 0: on to 1
-    out = np.empty((n, nblocks), dtype=np.uint8)
-    out[keys & 255, np.arange(nblocks)[:, None]] = cells
-    return out
+    keys.byteswap(inplace=True)  # i << 8 | cell, sorted again, puts the points in index order
+    keys.sort(axis=1)
+    return keys.astype(np.uint8).T
 
 
 def field_indices(field_words: np.ndarray, policy: shamir.FieldPolicy) -> np.ndarray:
     """(B, 4) words -> (B,) canonical field indices, as uint8.
 
-    A block's four words are one big-endian 32-bit integer, taken
-    modulo the number of fields.
+    A block's four words are read in place as one big-endian 32-bit
+    integer, taken modulo the number of fields; numpy raises unless
+    they are contiguous, as they are in a keystream view.
     """
     if policy == shamir.FieldPolicy.FIXED_CANONICAL:
         return np.zeros(field_words.shape[0], dtype=np.uint8)
-    w = field_words  # 2^8, 2^16 and 2^24 are all 16 modulo 30: sum the columns in place
-    total = (np.add(w[:, 0], w[:, 1], dtype=np.uint16) + w[:, 2] << 4) + w[:, 3]
-    return (total % len(FIELDS)).astype(np.uint8)
+    return (field_words.view(">u4")[:, 0] % len(FIELDS)).astype(np.uint8)
 
 
 def eval_blocks(coeffs: np.ndarray, points: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -224,9 +222,9 @@ def stream_widths(params: shamir.SchemeParams) -> tuple[int, ...]:
 
 
 def keystream_blocks(
-    params: shamir.SchemeParams, stream: RrsgStream, block_start: int, nblocks: int
+    params: shamir.SchemeParams, stream: RrsgStream, block_start: int, nblocks: int, npoints=None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Masks (m, B), points (n, B) and field indices (B,) of a block run.
+    """Masks (m, B), points (npoints, B; n by default) and field indices (B,) of a block run.
 
     stream is the op's one stream, which gives a block's m mask words,
     n point words and EXTRA_WORDS field words in that order, from one
@@ -236,7 +234,7 @@ def keystream_blocks(
     m, n, width = params.m, params.n, params.words_per_block
     stream.seek(block_start * width)
     words = np.frombuffer(stream.read(nblocks * width), dtype=np.uint8).reshape(nblocks, width)
-    points = derive_points(words[:, m : m + n])
+    points = derive_points(words[:, m : m + (n if npoints is None else npoints)])
     return words[:, :m].T.copy(), points, field_indices(words[:, m + n :], params.field_policy)
 
 
@@ -277,10 +275,11 @@ def recover_padded(
     is one run of padded plaintext bytes.
     """
     count = len(payloads[0])
-    mask, x, f = keystream_blocks(params, stream, block_start, count)
+    mask, x, f = keystream_blocks(params, stream, block_start, count, max(indices) + 1)
     xs = x[indices]
     del x  # the chunk's largest array: free it before interpolating
     ys = np.frombuffer(b"".join(payloads), dtype=np.uint8).reshape(-1, count)
     coeffs = interpolate_blocks(xs, ys, f)
-    coeffs ^= mask
-    return np.ascontiguousarray(coeffs.T)
+    out = np.empty((count, params.m), dtype=np.uint8)
+    np.bitwise_xor(coeffs, mask, out=out.T)
+    return out

@@ -145,6 +145,27 @@ def test_cli_matches_oracle(small_chunks, tmp_path, params, nblocks):
     )
 
 
+@pytest.mark.parametrize(
+    "params",
+    [*PARAMS, SchemeParams(n=32, m=16, dual_seed=True)],
+    ids=["single", "dual", "dual-fixed", "wide-dual"],
+)
+@pytest.mark.parametrize("end", ["lowest", "highest"])
+def test_recovery_from_the_lowest_or_highest_shares_matches_oracle(small_chunks, params, end):
+    # recovery derives points only up to the highest share index it
+    # reads: the m lowest-numbered shares need m points, the m highest all n
+    small_chunks(params)
+    m, nblocks = params.m, K * CHUNK + 1
+    message = secrets.token_bytes(nblocks * m - 1)
+    shares = split(message, params)
+    subset = shares[:m] if end == "lowest" else shares[-m:]
+    padded = helpers.reference_padded(subset)
+    assert padded == pad(message, m)
+    assert combine(subset[::-1]) == message
+    for start, count in ranges(nblocks):
+        assert recover_range(subset, start, count) == padded[start * m : (start + count) * m]
+
+
 def test_chunk_size_follows_the_block_width(small_chunks, monkeypatch):
     # chunks are CHUNK blocks whatever the shape, and one block when a
     # block is wider than _CHUNK_WORDS

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from helpers import REF_FIELDS
-from sbshare import _engine, combine, decode_share, encode_share, scheme
+from sbshare import _engine, cli, combine, decode_share, encode_share, scheme
 from sbshare.cli import (
     EXIT_IO,
     EXIT_OK,
@@ -178,6 +178,41 @@ class TestCombine:
         share = decode_share(data)
         assert share.key_share.hex() not in out.err and share.payload.hex() not in out.err
         assert not (tmp_path / "x").exists()
+
+
+class TestParserReuse:
+    def test_calls_in_one_process_match_fresh_ones(self, workspace, tmp_path, capsys, monkeypatch):
+        # main builds its parser once per process: split, combine and a
+        # usage error, each run twice through one process's main, must
+        # exit and print as main in a fresh interpreter does
+        monkeypatch.setenv("COLUMNS", "80")  # usage lines wrap at the same width
+        _, source = workspace
+        shares = [str(tmp_path / f"message.{i}.sbs1") for i in (0, 2, 4)]
+        out = str(tmp_path / "out.bin")
+        calls = [
+            ["split", str(source), "-n", "5", "-m", "3"],
+            ["combine", *shares, "-o", out],
+            ["combine", *shares],  # no -o: exit 1 with usage
+        ]
+        child = "import sys; from sbshare.cli import main; sys.exit(main(sys.argv[1:]))"
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+        parser = cli._build_parser()
+        for argv in calls * 2:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            here = (code, *capsys.readouterr())
+            fresh = subprocess.run(
+                [sys.executable, "-c", child, *argv],
+                capture_output=True,
+                text=True,
+                env=env,
+                timeout=60,
+            )
+            assert here == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+        assert cli._build_parser() is parser
+        assert Path(out).read_bytes() == source.read_bytes()
 
 
 class TestInspect:

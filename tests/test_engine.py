@@ -147,6 +147,24 @@ def test_both_ways_of_deriving_points_agree_on_any_run(n, nblocks, low, high):
     assert buf.tobytes() == raw.tobytes()
 
 
+@pytest.mark.parametrize("n", [1, 2, 5, 16, 32])
+@pytest.mark.parametrize("extra", [0, 1], ids=["n^2", "n^2+1"])
+def test_the_first_k_words_give_the_first_k_points(n, extra):
+    # recovery derives points only up to the highest share index it reads,
+    # so each way, and derive_points' choice between them by the size of
+    # its input, must give every prefix of the words that prefix of the
+    # points; rows from 0..3 and 250..255 probe long and wrap 255 to 1
+    nblocks = n * n + extra
+    rng = np.random.default_rng([n, extra])
+    words = rng.integers(0, 256, (nblocks, n), np.uint8)
+    words[::3] = rng.integers(0, 4, words[::3].shape, np.uint8)
+    words[1::3] = rng.integers(250, 256, words[1::3].shape, np.uint8)
+    for way in (_engine._points_in_rounds, _engine._points_by_probing, _engine.derive_points):
+        points = way(words)
+        for k in range(1, n + 1):
+            assert np.array_equal(way(words[:, :k]), points[:k]), (way.__name__, k)
+
+
 @pytest.mark.parametrize("n,m", [(1, 1), (5, 3), (32, 16), (255, 128)])
 def test_points_and_fields_from_one_keystream_buffer(n, m):
     # the words as one seed's keystream_blocks passes them: strided views
@@ -172,6 +190,44 @@ def test_field_indices_match_oracle(policy):
     words[0], words[1] = 0, 255
     got = [REF_FIELDS[i] for i in _engine.field_indices(words, policy)]
     assert got == [select_field(w.tobytes(), policy) for w in words]
+
+
+# a block's field words start m + n bytes in: 0, 3, 2, 3 and 1 mod 4 here
+ALIGNMENTS = [(5, 3), (4, 3), (4, 2), (2, 1), (3, 2)]
+
+
+@pytest.mark.parametrize("n,m", ALIGNMENTS, ids=[f"{n}-{m}" for n, m in ALIGNMENTS])
+@pytest.mark.parametrize("dual_seed", [False, True], ids=["single", "dual"])
+@pytest.mark.parametrize("policy", list(FieldPolicy))
+def test_field_indices_at_every_alignment(n, m, dual_seed, policy):
+    # field_indices reads each block's four words in place as one
+    # big-endian word; runs from blocks 0..3 of a width that is not a
+    # multiple of 4 also move where in the read those words fall
+    params = SchemeParams(n=n, m=m, field_policy=policy, dual_seed=dual_seed)
+    key_material = secrets.token_bytes(SEED_LEN * len(_engine.stream_widths(params)))
+    main, aux = helpers.open_streams(key_material, Algorithm.CHACHA20, dual_seed)
+    blocks = [helpers._block_randomness(params, main, aux) for _ in range(40)]
+    want = [select_field(b.field_words, policy) for b in blocks]
+    stream = scheme._open_stream(params, key_material, Algorithm.CHACHA20, 40)
+    for start in range(4):
+        _, _, f = _engine.keystream_blocks(params, stream, start, 40 - start)
+        assert [REF_FIELDS[i] for i in f] == want[start:]
+
+
+@pytest.mark.parametrize("policy", list(FieldPolicy))
+def test_field_indices_of_words_not_side_by_side_are_right_or_refused(policy):
+    # a block's words taken every other byte, backwards or down a
+    # column-major array cannot be read as one big-endian word in place:
+    # field_indices may raise on them, but must not give other fields
+    raw = np.random.default_rng(int(policy)).integers(0, 256, (64, 8), np.uint8)
+    raw[0] = 255
+    for words in (raw[:, ::2], raw[:, 3::-1], np.asfortranarray(raw[:, 2:6])):
+        want = [select_field(w.tobytes(), policy) for w in words]
+        try:
+            got = _engine.field_indices(words, policy)
+        except ValueError:
+            continue
+        assert [REF_FIELDS[i] for i in got] == want
 
 
 SHAPES = [
