@@ -3,9 +3,9 @@
 A stream is an unbounded sequence of words (one word = one byte) that
 is a function of its 44-byte seeds and algorithm alone, so ``seek``
 reaches any position without regenerating the prefix; with two seeds,
-each gives its own words of every block.  ``RrsgStream.read`` alone
-checks the count, moves the position and joins the seeds' words; each
-generator maps an offset and a count per seed to that seed's words.
+each gives its own words of every block.  ``RrsgStream.read`` checks
+the blocks it needs, moves the position and joins the seeds' words;
+each algorithm is a function of (seed, start, count) alone.
 
 Two algorithms are provided:
 
@@ -18,10 +18,11 @@ Two algorithms are provided:
   offset), then steps 4096 words at a time by tables built at import.
 
 ChaCha20 is OpenSSL's, called through ctypes in the libcrypto that
-CPython's ``hashlib`` already maps, so it costs no import; a read
-encrypts zeros in place.  At import, RFC 8439's test block checks the
-binding.  The ``cryptography`` package's ChaCha20 stays a test oracle:
-importing it costs every fresh process about 7 MiB of resident memory.
+CPython's ``hashlib`` already maps, so it costs no import; a seed's
+run encrypts zeros in place under its own cipher context.  At import,
+RFC 8439's test block checks the binding.  The ``cryptography``
+package's ChaCha20 stays a test oracle: importing it costs every fresh
+process about 7 MiB of resident memory.
 """
 
 import _hashlib
@@ -73,7 +74,7 @@ class Seed:
 
 
 class RrsgStream:
-    """Base contract: read consecutive words, seek to any word offset.
+    """Read consecutive words, seek to any word offset.
 
     A stream runs over one or more seeds, seed j giving widths[j] words
     per block: block b is seed 0's words [b*w_0, (b+1)*w_0), then seed
@@ -81,10 +82,8 @@ class RrsgStream:
     keystream, whatever its width.
     """
 
-    algorithm: Algorithm
-
-    def __init__(self, widths: tuple[int, ...]):
-        self._widths = widths
+    def __init__(self, seeds: list[Seed], algorithm: Algorithm, widths: tuple[int, ...]):
+        self.algorithm, self._seeds, self._widths = algorithm, seeds, widths
         self._pos = 0
 
     @property
@@ -107,16 +106,13 @@ class RrsgStream:
         width = sum(self._widths)
         block, skip = divmod(self._pos, width)
         nblocks = -(-(skip + count) // width)
-        runs = self._runs([(block * w, nblocks * w) for w in self._widths])
+        check_capacity(self.algorithm, block + nblocks, self._widths)
+        words = _GENERATORS[self.algorithm]
+        runs = [words(seed, block * w, nblocks * w) for seed, w in zip(self._seeds, self._widths)]
         # one seed's words are in stream order already; more are joined block by block
-        if len(runs) > 1:
-            runs = [np.concatenate([r.reshape(nblocks, -1) for r in runs], axis=1)]
+        joined = runs[0] if len(runs) == 1 else np.concatenate([r.reshape(nblocks, -1) for r in runs], axis=1)
         self._pos += count
-        return runs[0].reshape(-1)[skip : skip + count].tobytes()
-
-    def _runs(self, runs: list[tuple[int, int]]) -> list[np.ndarray]:
-        """Seed j's words [start, start + count) for runs[j] = (start, count), count > 0, as uint8."""
-        raise NotImplementedError
+        return joined.reshape(-1)[skip : skip + count].tobytes()
 
 
 # -- ChaCha20 ----------------------------------------------------------
@@ -151,43 +147,26 @@ def _evp_failed(name: str) -> RuntimeError:
     return RuntimeError(f"{name} failed in {_LIBCRYPTO}; no keystream was produced")
 
 
-def _keystream(ctx, seed: Seed, start: int, count: int) -> np.ndarray:
-    """seed's words [start, start + count): zeros encrypted in place from the block holding start."""
+def _chacha20_words(seed: Seed, start: int, count: int) -> np.ndarray:
+    """ChaCha20 as in RFC 8439: zeros encrypted in place, under this call's own cipher context."""
     block, offset = divmod(start, _CHACHA_BLOCK)
     iv = block.to_bytes(4, "little") + seed.nonce  # OpenSSL's IV: the 32-bit block counter, the nonce
-    if _EVP_EncryptInit_ex(ctx, _CHACHA20, None, seed.key, iv) != 1:
-        raise _evp_failed("EVP_EncryptInit_ex")
-    buf = np.zeros(offset + count, dtype=np.uint8)
-    address, written, step = buf.ctypes.data, ctypes.c_int(), _UPDATE_BLOCKS * _CHACHA_BLOCK
-    for i in range(0, len(buf), step):
-        piece = min(step, len(buf) - i)
-        ok = _EVP_EncryptUpdate(ctx, address + i, ctypes.byref(written), address + i, piece)
-        if ok != 1 or written.value != piece:
-            raise _evp_failed("EVP_EncryptUpdate")
-    return buf[offset:]
-
-
-class _ChaCha20Stream(RrsgStream):
-    """ChaCha20 as in RFC 8439; a read runs every seed under one OpenSSL cipher context."""
-
-    algorithm = Algorithm.CHACHA20
-
-    def __init__(self, seeds: list[Seed], widths: tuple[int, ...]):
-        super().__init__(widths)
-        self._seeds = seeds
-
-    def _runs(self, runs: list[tuple[int, int]]) -> list[np.ndarray]:
-        # a run ends in block 2^32 - 1 at the latest: OpenSSL would carry
-        # the counter into the nonce
-        if any(start + count > _CHACHA_BLOCK << 32 for start, count in runs):
-            raise ValueError("block counter space exhausted")
-        ctx = _EVP_CIPHER_CTX_new()
-        if not ctx:
-            raise _evp_failed("EVP_CIPHER_CTX_new")
-        try:
-            return [_keystream(ctx, seed, *run) for seed, run in zip(self._seeds, runs)]
-        finally:
-            _EVP_CIPHER_CTX_free(ctx)
+    ctx = _EVP_CIPHER_CTX_new()
+    if not ctx:
+        raise _evp_failed("EVP_CIPHER_CTX_new")
+    try:
+        if _EVP_EncryptInit_ex(ctx, _CHACHA20, None, seed.key, iv) != 1:
+            raise _evp_failed("EVP_EncryptInit_ex")
+        buf = np.zeros(offset + count, dtype=np.uint8)
+        address, written, step = buf.ctypes.data, ctypes.c_int(), _UPDATE_BLOCKS * _CHACHA_BLOCK
+        for i in range(0, len(buf), step):
+            piece = min(step, len(buf) - i)
+            ok = _EVP_EncryptUpdate(ctx, address + i, ctypes.byref(written), address + i, piece)
+            if ok != 1 or written.value != piece:
+                raise _evp_failed("EVP_EncryptUpdate")
+        return buf[offset:]
+    finally:
+        _EVP_CIPHER_CTX_free(ctx)
 
 
 # -- Test LCG ----------------------------------------------------------
@@ -218,36 +197,29 @@ _LCG_A = np.multiply.accumulate(np.full(_LCG_BATCH, _LCG_MUL, dtype=np.uint64))
 _LCG_C = np.cumsum(np.concatenate((np.ones(1, np.uint64), _LCG_A[:-1]))) * np.uint64(_LCG_INC)
 
 
-class _TestLcgStream(RrsgStream):
+def _lcg_words(seed: Seed, start: int, count: int) -> np.ndarray:
     """64-bit LCG emitting one byte per step: s <- s*a + c; output (s >> 33) & 0xFF.
 
     Seeded from the first 8 key bytes, big-endian; the nonce is unused.
     Here for cross-implementation golden tests only - NOT secure.
     """
-
-    algorithm = Algorithm.TEST_LCG
-
-    def __init__(self, seeds: list[Seed], widths: tuple[int, ...]):
-        super().__init__(widths)
-        self._initials = [int.from_bytes(s.key[:8], "big") for s in seeds]
-
-    def _runs(self, runs: list[tuple[int, int]]) -> list[np.ndarray]:
-        words = []
-        for initial, (start, count) in zip(self._initials, runs):
-            out = np.empty(count, dtype=np.uint8)
-            state = np.uint64(_lcg_jump(initial, start))
-            for i in range(0, count, _LCG_BATCH):
-                states = _LCG_A[: count - i] * state + _LCG_C[: count - i]
-                out[i : i + _LCG_BATCH] = (states >> np.uint64(33)).astype(np.uint8)
-                state = states[-1]
-            words.append(out)
-        return words
+    out = np.empty(count, dtype=np.uint8)
+    state = np.uint64(_lcg_jump(int.from_bytes(seed.key[:8], "big"), start))
+    for i in range(0, count, _LCG_BATCH):
+        states = _LCG_A[: count - i] * state + _LCG_C[: count - i]
+        out[i : i + _LCG_BATCH] = (states >> np.uint64(33)).astype(np.uint8)
+        state = states[-1]
+    return out
 
 
-_STREAM_CLASSES = {
-    Algorithm.CHACHA20: _ChaCha20Stream,
-    Algorithm.TEST_LCG: _TestLcgStream,
+# each algorithm maps (seed, start, count), count > 0, to seed's words [start, start + count) as uint8
+_GENERATORS = {
+    Algorithm.CHACHA20: _chacha20_words,
+    Algorithm.TEST_LCG: _lcg_words,
 }
+# the words one seed gives, where an algorithm ends: past ChaCha20's last
+# block counter, OpenSSL would carry into the nonce
+_WORD_LIMITS = {Algorithm.CHACHA20: _CHACHA_BLOCK << 32}
 
 
 def new_stream(seed: Seed | list[Seed], algorithm: Algorithm | int, widths=(1,)) -> RrsgStream:
@@ -261,28 +233,25 @@ def new_stream(seed: Seed | list[Seed], algorithm: Algorithm | int, widths=(1,))
     except ValueError:
         raise ValueError(f"unknown keystream algorithm id {algorithm!r}") from None
     seeds = [seed] if isinstance(seed, Seed) else list(seed)
-    if len(widths) != len(seeds) or min(widths) < 1:
+    if not seeds or len(widths) != len(seeds) or min(widths) < 1:
         raise ValueError("need one positive width per seed")
-    return _STREAM_CLASSES[alg](seeds, tuple(widths))
+    return RrsgStream(seeds, alg, tuple(widths))
 
 
 def check_capacity(algorithm: Algorithm | int, nblocks: int, widths: tuple[int, ...]) -> None:
     """Raise ValueError unless each stream of an op holds nblocks blocks from word 0.
 
-    widths are the words per block that each stream gives.  ChaCha20's
-    32-bit block counter ends a stream after 2^38 words; the test LCG
-    never ends.  Ops call this before reading any word, so a message too
-    long for its keystream fails before any work; _ChaCha20Stream._runs
-    keeps its own check as the last guard.
+    widths are the words per block that each seed gives; _WORD_LIMITS
+    holds where a seed's stream ends.  Every read checks its blocks
+    here, and ops call it before reading any word, so a message too long
+    for its keystream fails before any work.
     """
-    if algorithm != Algorithm.CHACHA20:
-        return
-    for width in widths:
-        if nblocks * width > _CHACHA_BLOCK << 32:
-            raise ValueError(
-                f"{nblocks} blocks need {nblocks * width} keystream words from one seed; "
-                "ChaCha20 gives at most 2^38"
-            )
+    limit = _WORD_LIMITS.get(algorithm)
+    if limit is not None and nblocks * max(widths) > limit:
+        raise ValueError(
+            f"keystream exhausted: {nblocks} blocks need {nblocks * max(widths)} words from one seed; "
+            f"{Algorithm(algorithm).name} gives at most 2^{limit.bit_length() - 1}"
+        )
 
 
 def _check_libcrypto() -> None:

@@ -179,14 +179,19 @@ def open_share(file: BinaryIO) -> Share:
     """The share in an open .sbs1 file, read from its start; the payload stays in the file.
 
     The header is checked against the file's size and the key share is
-    read.  The payload is read a slice at a time, so the file must stay
-    open while the share is used.  A FormatError, here or from a read
-    that comes up short, keeps its class and names the file.
+    read, both with os.pread at their offsets, so the file's position
+    does not matter.  The payload is read a slice at a time, so the file
+    must stay open while the share is used.  A FormatError, here or from
+    a read that comes up short, keeps its class and names the file.
     """
-    size = os.fstat(file.fileno()).st_size
+    fd = file.fileno()
+    size = os.fstat(fd).st_size
     try:
-        params, index, algorithm, key_len = _decode_header(file.read(HEADER_LEN), size)
+        params, index, algorithm, key_len = _decode_header(os.pread(fd, HEADER_LEN, 0), size)
     except FormatError as exc:
         raise type(exc)(f"{file.name}: {exc}") from exc
+    key_share = os.pread(fd, key_len, HEADER_LEN)
+    if len(key_share) != key_len:
+        raise TruncatedError(f"{file.name}: key share ends after {len(key_share)} of {key_len} bytes")
     body = HEADER_LEN + key_len  # the header check makes size - body its payload length
-    return Share(params, index, algorithm, file.read(key_len), _FilePayload(file, body, size - body))
+    return Share(params, index, algorithm, key_share, _FilePayload(file, body, size - body))

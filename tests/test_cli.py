@@ -21,8 +21,10 @@ from sbshare.cli import (
     EXIT_USAGE,
     main,
 )
+from sbshare.rrsg import Algorithm
 from sbshare.scheme import pad, split
 from sbshare.shamir import SchemeParams
+from sbshare.share_format import HEADER_LEN, encode_header
 
 
 @pytest.fixture
@@ -282,6 +284,23 @@ class TestCapacity:
         assert main(argv) == EXIT_PARAMS
         assert "2^38" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["big.bin"]
+
+    def test_combine_checks_the_share_set_before_any_keystream(self, tmp_path, monkeypatch, capsys):
+        # a sparse share at n=255, m=1 whose header claims one block more than
+        # ChaCha20 covers; recovery refuses it before it reads a word
+        def no_keystream(*args):
+            raise AssertionError("keystream read before the capacity check")
+
+        monkeypatch.setattr(_engine, "keystream_blocks", no_keystream)
+        nblocks = (1 << 38) // 260 + 1
+        share = tmp_path / "big.0.sbs1"
+        with open(share, "wb") as f:
+            f.write(encode_header(SchemeParams(n=255, m=1), 0, Algorithm.CHACHA20, bytes(44), nblocks))
+            f.truncate(HEADER_LEN + 44 + nblocks)
+        out_file = tmp_path / "out.bin"
+        assert main(["combine", str(share), "-o", str(out_file)]) == EXIT_PARAMS
+        assert "2^38" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["big.0.sbs1"]
 
     def test_split_stream_checks_before_reading(self):
         def read(count):

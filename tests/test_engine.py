@@ -261,26 +261,26 @@ def test_keystream_blocks_match_each_seed_read_on_its_own(params, algorithm):
 @pytest.mark.parametrize("dual_seed", [False, True])
 def test_each_small_op_runs_one_chacha20_batch(monkeypatch, dual_seed):
     # one stream per op: however many seeds, a small op is one keystream
-    # read, one run per seed under one OpenSSL cipher context
+    # read, one ChaCha20 run per seed under a cipher context of its own
     params = SchemeParams(n=32, m=16, dual_seed=dual_seed)
     calls = []
-    runs = rrsg._ChaCha20Stream._runs
+    words = rrsg._GENERATORS[Algorithm.CHACHA20]
     new_context = rrsg._EVP_CIPHER_CTX_new
 
-    def counted(self, spans):
-        calls.append(len(spans))
-        return runs(self, spans)
+    def counted(seed, start, count):
+        calls.append("words")
+        return words(seed, start, count)
 
     def counted_context():
         calls.append("context")
         return new_context()
 
-    monkeypatch.setattr(rrsg._ChaCha20Stream, "_runs", counted)
+    monkeypatch.setitem(rrsg._GENERATORS, Algorithm.CHACHA20, counted)
     monkeypatch.setattr(rrsg, "_EVP_CIPHER_CTX_new", counted_context)
     secret = secrets.token_bytes(32)
     shares = split(secret, params)
-    seeds = 2 if dual_seed else 1
-    assert calls == [seeds, "context"]
+    per_op = ["words", "context"] * (2 if dual_seed else 1)
+    assert calls == per_op
     assert combine(shares[3:19]) == secret
     assert recover_range(shares[:16], 1, 1) == secret[16:32]
-    assert calls == [seeds, "context"] * 3
+    assert calls == per_op * 3

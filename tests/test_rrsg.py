@@ -243,9 +243,9 @@ class TestTwoSeeds:
             assert stream.position == offset
 
     def test_needs_one_positive_width_per_seed(self):
-        for widths in [(1,), (1, 2, 3), (0, 4)]:
-            with pytest.raises(ValueError, match="width"):
-                new_stream(self.SEEDS, Algorithm.CHACHA20, widths)
+        for seeds, widths in [(self.SEEDS, (1,)), (self.SEEDS, (1, 2, 3)), (self.SEEDS, (0, 4)), ([], ())]:
+            with pytest.raises(ValueError, match="need one positive width per seed"):
+                new_stream(seeds, Algorithm.CHACHA20, widths)
 
 
 class TestLibcrypto:

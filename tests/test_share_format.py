@@ -7,6 +7,7 @@ import secrets
 import struct
 import zlib
 from contextlib import ExitStack
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -272,6 +273,34 @@ class TestOpenShare:
                     with pytest.raises(TruncatedError) as err:
                         op()
                     assert str(err.value).startswith(f"{cut}: payload ends before block ")
+
+    def test_shares_opened_after_a_read_combine(self, tmp_path):
+        # header, key share and payload are each read at their own offset,
+        # wherever the file's position stands when it is opened
+        params = SchemeParams(n=5, m=3)
+        message = secrets.token_bytes(1000)
+        paths = []
+        for share in split(message, params)[1:4]:
+            paths.append(tmp_path / f"msg.{share.share_index}.sbs1")
+            paths[-1].write_bytes(encode_share(share))
+        with ExitStack() as stack:
+            files = [stack.enter_context(open(p, "rb")) for p in paths]
+            for file in files:
+                assert file.read(3) == MAGIC[:3]
+            assert combine([open_share(file) for file in files]) == message
+
+    def test_key_share_cut_after_the_size_was_read_is_named(self, tmp_path, monkeypatch):
+        # the header matched the size that fstat gave, but the file ends
+        # 2 bytes into its 44-byte key share
+        blob = make_blob()
+        path = tmp_path / "share.sbs1"
+        path.write_bytes(blob[: HEADER_LEN + 2])
+        with open(path, "rb") as file:
+            monkeypatch.setattr(os, "fstat", lambda fd: SimpleNamespace(st_size=len(blob)))
+            with pytest.raises(TruncatedError) as err:
+                open_share(file)
+            monkeypatch.undo()
+        assert str(err.value) == f"{path}: key share ends after 2 of 44 bytes"
 
 
 class TestQuickFuzz:
