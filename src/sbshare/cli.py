@@ -159,20 +159,19 @@ def _cmd_split(args) -> int:
             FieldPolicy.FIXED_CANONICAL if args.fixed_field else FieldPolicy.RANDOM_PER_BLOCK
         ),
         dual_seed=args.dual_seed,
+        algorithm=_ALGORITHMS[args.rrsg],
     )
-    algorithm = _ALGORITHMS[args.rrsg]
-    if algorithm == Algorithm.TEST_LCG:
+    if params.algorithm == Algorithm.TEST_LCG:
         print(_LCG_WARNING, file=sys.stderr)
     out_dir = args.output_dir if args.output_dir is not None else args.input.parent
     paths = [out_dir / f"{args.input.stem}.{i}.sbs1" for i in range(params.n)]
     with open(args.input, "rb") as source:
         size = os.fstat(source.fileno()).st_size
-        key_shares, chunks = split_stream(source.read, size, params, algorithm=algorithm)
+        key_shares, chunks = split_stream(source.read, size, params)
         out_dir.mkdir(parents=True, exist_ok=True)
         with _atomic_outputs(paths) as sinks:
             for i, (sink, key_share) in enumerate(zip(sinks, key_shares)):
-                head = encode_header(params, i, algorithm, key_share, padded_blocks(size, params.m))
-                sink.write(head)
+                sink.write(encode_header(params, i, key_share, padded_blocks(size, params.m)))
             for values in chunks:
                 for sink, row in zip(sinks, values):
                     sink.write(row)
@@ -200,7 +199,7 @@ def _cmd_inspect(args) -> int:
     policy = "fixed-canonical" if params.field_policy == FieldPolicy.FIXED_CANONICAL else "random-per-block"
     print(f"{args.share}:")
     print(f"  n: {params.n}  m: {params.m}  share_index: {share.share_index}")
-    print(f"  rrsg: {_ALGORITHM_NAMES[share.rrsg_algorithm]}")
+    print(f"  rrsg: {_ALGORITHM_NAMES[params.algorithm]}")
     print(f"  dual_seed: {'yes' if params.dual_seed else 'no'}  field_policy: {policy}")
     print(f"  key_share: {len(share.key_share)} bytes  payload: {share.block_count} bytes")
     return EXIT_OK

@@ -4,11 +4,11 @@ A message is padded to a whole number of m-word blocks, each block is
 masked with keystream words and treated as the coefficient vector of a
 degree m-1 polynomial, and share i stores that polynomial's value at
 the i-th derived point of every block.  The keystream words come from
-one seed, or with dual_seed two, read together as the op's one
-stream.  The seeds are themselves split with a classic per-word
-threshold scheme and one key share travels with each data share, so
-any m shares first rebuild the seeds, then replay the randomness, then
-invert the blocks.
+one seed, or with dual_seed two, read together as the op's one stream
+of params.algorithm.  The seeds are themselves split with a classic
+per-word threshold scheme and one key share travels with each data
+share, so any m shares first rebuild the seeds, then replay the
+randomness, then invert the blocks.
 
 Each direction has one chunk walk: split_stream takes the message a
 chunk at a time from a caller's read function, recover_stream slices the
@@ -20,7 +20,7 @@ memory, with the chunks' outputs joined.
 from dataclasses import dataclass
 
 from . import _engine
-from .rrsg import SEED_LEN, Algorithm, RrsgStream, Seed, check_capacity, new_stream
+from .rrsg import SEED_LEN, RrsgStream, Seed, check_capacity, new_stream
 from .shamir import SchemeParams, recover_key, split_key
 
 
@@ -42,14 +42,12 @@ class Share:
 
     params: SchemeParams
     share_index: int
-    rrsg_algorithm: Algorithm
     key_share: bytes
     payload: bytes
 
     def __post_init__(self):
         if not 0 <= self.share_index < self.params.n:
             raise ValueError("share_index out of range for params")
-        object.__setattr__(self, "rrsg_algorithm", Algorithm(self.rrsg_algorithm))
 
     @property
     def block_count(self) -> int:
@@ -78,28 +76,20 @@ def padded_blocks(size: int, m: int) -> int:
     return size // m + 1
 
 
-def _open_stream(
-    params: SchemeParams, key_material: bytes, algorithm: Algorithm, nblocks: int
-) -> RrsgStream:
+def _open_stream(params: SchemeParams, key_material: bytes, nblocks: int) -> RrsgStream:
     """The op's one stream over its seeds, once it is known to hold its first nblocks blocks."""
     widths = _engine.stream_widths(params)
-    check_capacity(algorithm, nblocks, widths)
+    check_capacity(params.algorithm, nblocks, widths)
     offsets = range(0, len(key_material), SEED_LEN)
     seeds = [Seed.from_bytes(key_material[i : i + SEED_LEN]) for i in offsets]
-    return new_stream(seeds, algorithm, widths)
+    return new_stream(seeds, params.algorithm, widths)
 
 
-def split(
-    message: bytes,
-    params: SchemeParams,
-    *,
-    algorithm: Algorithm = Algorithm.CHACHA20,
-) -> list[Share]:
+def split(message: bytes, params: SchemeParams) -> list[Share]:
     """Split message into params.n shares, any params.m of which recover it.
 
     message may be any contiguous buffer; its bytes are read in place.
     """
-    algorithm = Algorithm(algorithm)
     view = memoryview(message).cast("B")
     end = 0
 
@@ -108,19 +98,14 @@ def split(
         end += k
         return view[end - k : end]
 
-    key_shares, chunks = split_stream(read, len(view), params, algorithm=algorithm)
+    key_shares, chunks = split_stream(read, len(view), params)
     payloads = list(zip(*chunks))  # share i's rows, one per chunk
     for i, rows in enumerate(payloads):  # one share at a time, so its rows go as it is joined
         payloads[i] = b"".join(rows)
-    return [
-        Share(params, i, algorithm, key_shares[i], payloads[i])
-        for i in range(params.n)
-    ]
+    return [Share(params, i, key_shares[i], payloads[i]) for i in range(params.n)]
 
 
-def split_stream(
-    read, size: int, params: SchemeParams, *, algorithm: Algorithm = Algorithm.CHACHA20
-):
+def split_stream(read, size: int, params: SchemeParams):
     """split for a size-byte message that read(k) returns k bytes at a time.
 
     Returns the n key shares and an iterator over the payloads, one
@@ -130,10 +115,10 @@ def split_stream(
     any word is read; one that ends before or runs past size bytes
     raises OSError on the chunk where that shows.
     """
-    m, algorithm = params.m, Algorithm(algorithm)
+    m = params.m
     nblocks = padded_blocks(size, m)
     key_material = b"".join(Seed.generate().to_bytes() for _ in _engine.stream_widths(params))
-    stream = _open_stream(params, key_material, algorithm, nblocks)
+    stream = _open_stream(params, key_material, nblocks)
 
     def chunks():
         for start, count in _engine.chunks(params, 0, nblocks):
@@ -158,17 +143,14 @@ def _validate_set(shares: list) -> list:
         raise ShareSetError("no shares given")
     first = shares[0]
     params = first.params
-    for s in shares[1:]:
+    key_len = SEED_LEN * len(_engine.stream_widths(params))
+    for s in shares:
         if s.params != params:
             raise ShareSetError("shares disagree on scheme parameters")
-        if s.rrsg_algorithm != first.rrsg_algorithm:
-            raise ShareSetError("shares disagree on keystream algorithm")
         if s.block_count != first.block_count:
             raise ShareSetError("shares disagree on payload length")
-        if len(s.key_share) != len(first.key_share):
-            raise ShareSetError("shares disagree on key share length")
-    if len(first.key_share) != SEED_LEN * len(_engine.stream_widths(params)):
-        raise ShareSetError("key share length does not match parameters")
+        if len(s.key_share) != key_len:
+            raise ShareSetError("key share length does not match parameters")
     if not first.block_count:
         raise ShareSetError("shares carry no payload blocks")
     indices = [s.share_index for s in shares]
@@ -210,8 +192,7 @@ def recover_stream(shares: list[Share], block_range: tuple[int, int] | None = No
     if block_start < 0 or block_count < 0 or block_start + block_count > total:
         raise ValueError("block range outside the share payload")
     key_material = recover_key([(s.share_index, s.key_share) for s in chosen], params.m)
-    algorithm = chosen[0].rrsg_algorithm
-    stream = _open_stream(params, key_material, algorithm, block_start + block_count)
+    stream = _open_stream(params, key_material, block_start + block_count)
     indices = [s.share_index for s in chosen]
     # slices of a view are not copies; a payload left in its file reads its slices
     payloads = [s.payload for s in chosen]

@@ -1,10 +1,10 @@
 """Scheme parameters and classic Shamir sharing of key material.
 
 SchemeParams fixes a split: n shares, threshold m, how each block's
-working field is chosen, and whether one seed or two drive the
-keystream.  Each block consumes m + n + EXTRA_WORDS keystream words;
-_engine.keystream_blocks lays them out, and the per-block transform
-they drive lives in _engine.
+working field is chosen, whether one seed or two drive the keystream,
+and which algorithm generates it.  Each block consumes m + n +
+EXTRA_WORDS keystream words; _engine.keystream_blocks lays them out,
+and the per-block transform they drive lives in _engine.
 
 split_key and recover_key share the keystream seeds themselves with
 classic per-byte Shamir over the canonical field, run by the same
@@ -12,6 +12,7 @@ vectorized engine: each key byte is a block, so key share j is row j of
 its (n, len(key)) values.
 """
 
+import operator
 import secrets
 from dataclasses import dataclass
 from enum import IntEnum
@@ -20,6 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _engine
+from .rrsg import Algorithm
 
 #: Field-selection words drawn per block, after its m mask words and
 #: n point words.
@@ -35,15 +37,20 @@ class FieldPolicy(IntEnum):
 
 @dataclass(frozen=True)
 class SchemeParams:
-    """Split parameters: n shares, threshold m, over 8-bit words."""
+    """Split parameters: n shares, threshold m, over 8-bit words, and the keystream algorithm."""
 
     n: int
     m: int
     field_policy: FieldPolicy = FieldPolicy.RANDOM_PER_BLOCK
     dual_seed: bool = False
+    algorithm: Algorithm = Algorithm.CHACHA20
 
     def __post_init__(self):
+        # plain ints: a numpy n or m would overflow in words_per_block
+        object.__setattr__(self, "n", operator.index(self.n))
+        object.__setattr__(self, "m", operator.index(self.m))
         object.__setattr__(self, "field_policy", FieldPolicy(self.field_policy))
+        object.__setattr__(self, "algorithm", Algorithm(self.algorithm))
         if not 1 <= self.m <= self.n <= 255:
             # n distinct nonzero evaluation points must exist in GF(2^8)
             raise ValueError(

@@ -68,9 +68,7 @@ class HeaderError(FormatError):
     """Header fields are internally inconsistent."""
 
 
-def encode_header(
-    params: SchemeParams, share_index: int, algorithm: Algorithm, key_share: bytes, payload_len: int
-) -> bytes:
+def encode_header(params: SchemeParams, share_index: int, key_share: bytes, payload_len: int) -> bytes:
     """The bytes before a payload_len-byte payload: the header, then the key share."""
     if len(key_share) > 0xFFFF:
         raise FormatError("key share too long for u16 length field")
@@ -86,17 +84,17 @@ def encode_header(
         params.n,
         params.m,
         share_index,
-        int(algorithm),
+        int(params.algorithm),
         len(key_share),
         payload_len,
     )
     return packed + struct.pack(">I", zlib.crc32(packed)) + key_share
 
 
-def _decode_header(data: bytes, size: int) -> tuple[SchemeParams, int, Algorithm, int]:
+def _decode_header(data: bytes, size: int) -> tuple[SchemeParams, int, int]:
     """Check the header at the start of size bytes of .sbs1 data.
 
-    Returns its params, share index, algorithm and key share length.
+    Returns its params, share index and key share length.
     """
     if len(data) < HEADER_LEN:
         raise TruncatedError(f"need at least {HEADER_LEN} bytes, got {len(data)}")
@@ -130,23 +128,19 @@ def _decode_header(data: bytes, size: int) -> tuple[SchemeParams, int, Algorithm
         if flags & _FLAG_FIXED_FIELD
         else FieldPolicy.RANDOM_PER_BLOCK
     )
-    params = SchemeParams(
-        n=n, m=m, field_policy=policy, dual_seed=bool(flags & _FLAG_DUAL_SEED)
-    )
-    return params, index, algorithm, key_len
+    params = SchemeParams(n, m, policy, bool(flags & _FLAG_DUAL_SEED), algorithm)
+    return params, index, key_len
 
 
 def encode_share(share: Share) -> bytes:
-    head = encode_header(
-        share.params, share.share_index, share.rrsg_algorithm, share.key_share, len(share.payload)
-    )
-    return head + share.payload
+    head = encode_header(share.params, share.share_index, share.key_share, len(share.payload))
+    return head + share.payload[:]  # a payload left in its file is read here; bytes stay as they are
 
 
 def decode_share(data: bytes) -> Share:
-    params, index, algorithm, key_len = _decode_header(data, len(data))
+    params, index, key_len = _decode_header(data, len(data))
     body = HEADER_LEN + key_len
-    return Share(params, index, algorithm, bytes(data[HEADER_LEN:body]), bytes(data[body:]))
+    return Share(params, index, bytes(data[HEADER_LEN:body]), bytes(data[body:]))
 
 
 class _FilePayload:
@@ -187,11 +181,11 @@ def open_share(file: BinaryIO) -> Share:
     fd = file.fileno()
     size = os.fstat(fd).st_size
     try:
-        params, index, algorithm, key_len = _decode_header(os.pread(fd, HEADER_LEN, 0), size)
+        params, index, key_len = _decode_header(os.pread(fd, HEADER_LEN, 0), size)
     except FormatError as exc:
         raise type(exc)(f"{file.name}: {exc}") from exc
     key_share = os.pread(fd, key_len, HEADER_LEN)
     if len(key_share) != key_len:
         raise TruncatedError(f"{file.name}: key share ends after {len(key_share)} of {key_len} bytes")
     body = HEADER_LEN + key_len  # the header check makes size - body its payload length
-    return Share(params, index, algorithm, key_share, _FilePayload(file, body, size - body))
+    return Share(params, index, key_share, _FilePayload(file, body, size - body))

@@ -314,11 +314,9 @@ def _block_randomness(params: SchemeParams, main, aux) -> BlockRandomness:
     return BlockRandomness.from_words(main.read(m) + aux.read(n + EXTRA_WORDS), m, n)
 
 
-def reference_payloads(
-    key_material: bytes, algorithm: Algorithm, params: SchemeParams, padded: bytes
-) -> list[bytes]:
+def reference_payloads(key_material: bytes, params: SchemeParams, padded: bytes) -> list[bytes]:
     """Share payloads computed block by block with the scalar operations."""
-    main, aux = open_streams(key_material, algorithm, params.dual_seed)
+    main, aux = open_streams(key_material, params.algorithm, params.dual_seed)
     payloads = [bytearray() for _ in range(params.n)]
     for off in range(0, len(padded), params.m):
         mask, pw, fw = _block_randomness(params, main, aux)
@@ -336,7 +334,7 @@ def reference_padded(shares: list[Share]) -> bytes:
     params = shares[0].params
     chosen = sorted(shares, key=lambda s: s.share_index)[: params.m]
     key_material = recovered_key_material(shares)
-    main, aux = open_streams(key_material, chosen[0].rrsg_algorithm, params.dual_seed)
+    main, aux = open_streams(key_material, params.algorithm, params.dual_seed)
     out = bytearray()
     for b in range(len(chosen[0].payload)):
         mask, pw, fw = _block_randomness(params, main, aux)

@@ -89,11 +89,11 @@ def test_criterion_03_threshold_round_trip_matrix():
                 for policy in (FieldPolicy.RANDOM_PER_BLOCK, FieldPolicy.FIXED_CANONICAL):
                     for dual in (False, True):
                         params = SchemeParams(
-                            n=n, m=m, field_policy=policy, dual_seed=dual
+                            n=n, m=m, field_policy=policy, dual_seed=dual, algorithm=algorithm
                         )
                         for length in lengths:
                             message = secrets.token_bytes(length)
-                            shares = split(message, params, algorithm=algorithm)
+                            shares = split(message, params)
                             for subset in itertools.combinations(shares, m):
                                 assert combine(list(subset)) == message, (
                                     n, m, algorithm, policy, dual, length,
@@ -202,7 +202,6 @@ def _criterion_09_designated_errors():
     share = Share(
         params=SchemeParams(n=5, m=3),
         share_index=1,
-        rrsg_algorithm=Algorithm.CHACHA20,
         key_share=secrets.token_bytes(44),
         payload=secrets.token_bytes(9),
     )

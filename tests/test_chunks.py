@@ -20,7 +20,6 @@ import pytest
 import helpers
 from sbshare import _engine
 from sbshare.cli import EXIT_OK, main
-from sbshare.rrsg import Algorithm
 from sbshare.scheme import combine, pad, recover_range, split
 from sbshare.shamir import FieldPolicy, SchemeParams
 from sbshare.share_format import decode_share, encode_share, open_share
@@ -88,7 +87,7 @@ def test_library_matches_oracle(small_chunks, params, nblocks):
     shares = split(message, params)
     assert shares[0].block_count == nblocks
     key_material = helpers.recovered_key_material(shares)
-    expected = helpers.reference_payloads(key_material, Algorithm.CHACHA20, params, padded)
+    expected = helpers.reference_payloads(key_material, params, padded)
     assert [s.payload for s in shares] == expected
     subset = subset_of(shares, params.m)
     assert helpers.reference_padded(subset) == padded
@@ -130,7 +129,7 @@ def test_cli_matches_oracle(small_chunks, tmp_path, params, nblocks):
     assert all(s.params == params for s in shares)
     padded = pad(message, m)
     key_material = helpers.recovered_key_material(shares)
-    expected = helpers.reference_payloads(key_material, Algorithm.CHACHA20, params, padded)
+    expected = helpers.reference_payloads(key_material, params, padded)
     assert [s.payload for s in shares] == expected
 
     chosen = [str(paths[s.share_index]) for s in subset_of(shares, m)]

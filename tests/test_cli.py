@@ -21,7 +21,6 @@ from sbshare.cli import (
     EXIT_USAGE,
     main,
 )
-from sbshare.rrsg import Algorithm
 from sbshare.scheme import pad, split
 from sbshare.shamir import SchemeParams
 from sbshare.share_format import HEADER_LEN, encode_header
@@ -229,6 +228,11 @@ class TestInspect:
         assert "fixed-canonical" in out
         assert "key_share: 88 bytes" in out
         assert "payload: 4 bytes" in out
+        # the algorithm is the header's, not a default
+        paths = split_fixture(workspace, "--rrsg", "test-lcg")
+        capsys.readouterr()
+        assert main(["inspect", str(paths[0])]) == EXIT_OK
+        assert "rrsg: test-lcg" in capsys.readouterr().out
 
     def test_non_share_file_exits_2(self, tmp_path, capsys):
         plain = tmp_path / "notes.txt"
@@ -295,7 +299,7 @@ class TestCapacity:
         nblocks = (1 << 38) // 260 + 1
         share = tmp_path / "big.0.sbs1"
         with open(share, "wb") as f:
-            f.write(encode_header(SchemeParams(n=255, m=1), 0, Algorithm.CHACHA20, bytes(44), nblocks))
+            f.write(encode_header(SchemeParams(n=255, m=1), 0, bytes(44), nblocks))
             f.truncate(HEADER_LEN + 44 + nblocks)
         out_file = tmp_path / "out.bin"
         assert main(["combine", str(share), "-o", str(out_file)]) == EXIT_PARAMS

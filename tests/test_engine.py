@@ -1,5 +1,6 @@
 """Direct checks of the vectorized engine against the scalar block oracle."""
 
+import dataclasses
 import secrets
 
 import numpy as np
@@ -208,7 +209,7 @@ def test_field_indices_at_every_alignment(n, m, dual_seed, policy):
     main, aux = helpers.open_streams(key_material, Algorithm.CHACHA20, dual_seed)
     blocks = [helpers._block_randomness(params, main, aux) for _ in range(40)]
     want = [select_field(b.field_words, policy) for b in blocks]
-    stream = scheme._open_stream(params, key_material, Algorithm.CHACHA20, 40)
+    stream = scheme._open_stream(params, key_material, 40)
     for start in range(4):
         _, _, f = _engine.keystream_blocks(params, stream, start, 40 - start)
         assert [REF_FIELDS[i] for i in f] == want[start:]
@@ -244,10 +245,11 @@ def test_keystream_blocks_match_each_seed_read_on_its_own(params, algorithm):
     # the op's one stream against helpers.open_streams, which reads each
     # seed's stream by itself: a block's masks, points and field are the
     # oracle's, for one seed or two, from any first block
+    params = dataclasses.replace(params, algorithm=algorithm)
     key_material = secrets.token_bytes(SEED_LEN * len(_engine.stream_widths(params)))
     main, aux = helpers.open_streams(key_material, algorithm, params.dual_seed)
     blocks = [helpers._block_randomness(params, main, aux) for _ in range(12)]
-    stream = scheme._open_stream(params, key_material, algorithm, 12)
+    stream = scheme._open_stream(params, key_material, 12)
     for start, count in [(0, 12), (5, 7), (11, 1), (3, 0)]:
         mask, x, f = _engine.keystream_blocks(params, stream, start, count)
         want = blocks[start : start + count]

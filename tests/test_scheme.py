@@ -68,7 +68,7 @@ class TestSplitStructure:
         shares = split(b"hello", params)
         assert [s.share_index for s in shares] == [0, 1, 2, 3]
         assert all(s.params == params for s in shares)
-        assert all(s.rrsg_algorithm == Algorithm.CHACHA20 for s in shares)
+        assert all(s.params.algorithm == Algorithm.CHACHA20 for s in shares)
         assert all(len(s.key_share) == 44 for s in shares)
         assert len({len(s.payload) for s in shares}) == 1
 
@@ -94,15 +94,15 @@ class TestSplitStructure:
     def test_share_index_validation(self):
         params = SchemeParams(n=2, m=2)
         with pytest.raises(ValueError):
-            Share(params, 2, Algorithm.CHACHA20, b"", b"")
+            Share(params, 2, b"", b"")
 
 
 class TestRoundTrip:
     @pytest.mark.parametrize("algorithm,policy,dual", ALL_MODES)
     def test_all_modes(self, algorithm, policy, dual):
-        params = SchemeParams(n=4, m=2, field_policy=policy, dual_seed=dual)
+        params = SchemeParams(n=4, m=2, field_policy=policy, dual_seed=dual, algorithm=algorithm)
         message = secrets.token_bytes(301)
-        shares = split(message, params, algorithm=algorithm)
+        shares = split(message, params)
         for subset in itertools.combinations(shares, 2):
             assert combine(list(subset)) == message
 
@@ -126,20 +126,18 @@ class TestReferencePipeline:
 
     @pytest.mark.parametrize("algorithm,policy,dual", ALL_MODES)
     def test_split_matches_scalar_reference(self, algorithm, policy, dual):
-        params = SchemeParams(n=5, m=3, field_policy=policy, dual_seed=dual)
+        params = SchemeParams(n=5, m=3, field_policy=policy, dual_seed=dual, algorithm=algorithm)
         message = secrets.token_bytes(200)
-        shares = split(message, params, algorithm=algorithm)
+        shares = split(message, params)
         key_material = helpers.recovered_key_material(shares)
-        expected = helpers.reference_payloads(
-            key_material, algorithm, params, pad(message, params.m)
-        )
+        expected = helpers.reference_payloads(key_material, params, pad(message, params.m))
         assert [s.payload for s in shares] == expected
 
     @pytest.mark.parametrize("algorithm,policy,dual", ALL_MODES)
     def test_combine_matches_scalar_reference(self, algorithm, policy, dual):
-        params = SchemeParams(n=4, m=3, field_policy=policy, dual_seed=dual)
+        params = SchemeParams(n=4, m=3, field_policy=policy, dual_seed=dual, algorithm=algorithm)
         message = secrets.token_bytes(149)
-        shares = split(message, params, algorithm=algorithm)
+        shares = split(message, params)
         subset = [shares[3], shares[1], shares[0]]
         assert helpers.reference_padded(subset) == pad(message, params.m)
         assert combine(subset) == message
@@ -147,9 +145,9 @@ class TestReferencePipeline:
     @pytest.mark.parametrize("n,m", [(1, 1), (2, 1), (6, 6), (9, 4), (32, 16), (40, 2)])
     @pytest.mark.parametrize("algorithm,policy,dual", ALL_MODES)
     def test_combine_and_range_match_scalar_reference(self, algorithm, policy, dual, n, m):
-        params = SchemeParams(n=n, m=m, field_policy=policy, dual_seed=dual)
+        params = SchemeParams(n=n, m=m, field_policy=policy, dual_seed=dual, algorithm=algorithm)
         message = secrets.token_bytes(97)
-        shares = split(message, params, algorithm=algorithm)
+        shares = split(message, params)
         subset = secrets.SystemRandom().sample(shares, m)
         expected = helpers.reference_padded(subset)
         assert expected == pad(message, m)
@@ -165,9 +163,7 @@ class TestReferencePipeline:
             message = secrets.token_bytes(97)
             shares = split(message, params)
             key_material = helpers.recovered_key_material(shares)
-            expected = helpers.reference_payloads(
-                key_material, Algorithm.CHACHA20, params, pad(message, m)
-            )
+            expected = helpers.reference_payloads(key_material, params, pad(message, m))
             assert [s.payload for s in shares] == expected
 
 
@@ -217,12 +213,14 @@ class TestKnownAnswer:
         digest = hashlib.sha256()
         for n, m in ((1, 1), (5, 3), (32, 16), (255, 128)):
             for k, (algorithm, policy, dual) in enumerate(ALL_MODES):
-                params = SchemeParams(n=n, m=m, field_policy=policy, dual_seed=dual)
+                params = SchemeParams(
+                    n=n, m=m, field_policy=policy, dual_seed=dual, algorithm=algorithm
+                )
                 offset = k % 3 - 1
                 seams = {2 * ((1 << 15) // n), (1 << 15) // m}
                 for nblocks in sorted(seam + offset for seam in seams):
                     message = secrets.token_bytes(nblocks * m - 1)
-                    shares = split(message, params, algorithm=algorithm)
+                    shares = split(message, params)
                     subset = (shares[1::2] + shares[::2])[:m]
                     recovered = combine(subset)
                     assert recovered == message
@@ -254,7 +252,7 @@ class TestShareSetValidation:
 
     def test_mixed_algorithms(self):
         a = split(b"secret", SchemeParams(n=3, m=2))
-        b = split(b"secret", SchemeParams(n=3, m=2), algorithm=Algorithm.TEST_LCG)
+        b = split(b"secret", SchemeParams(n=3, m=2, algorithm=Algorithm.TEST_LCG))
         with pytest.raises(ShareSetError):
             combine([a[0], b[1]])
 
@@ -284,7 +282,6 @@ class TestShareSetValidation:
         bad = Share(
             shares[0].params,
             shares[0].share_index,
-            shares[0].rrsg_algorithm,
             bytes(44),
             shares[0].payload,
         )
@@ -314,9 +311,9 @@ class TestRecoverRange:
     @pytest.mark.parametrize("algorithm,policy,dual", ALL_MODES)
     def test_every_single_block_matches(self, algorithm, policy, dual):
         # Stride invariant: per-block seek recovery equals the full pass.
-        params = SchemeParams(n=4, m=2, field_policy=policy, dual_seed=dual)
+        params = SchemeParams(n=4, m=2, field_policy=policy, dual_seed=dual, algorithm=algorithm)
         message = secrets.token_bytes(41)
-        shares = split(message, params, algorithm=algorithm)
+        shares = split(message, params)
         padded = pad(message, 2)
         for k in range(len(padded) // 2):
             assert recover_range(shares[1:3], k, 1) == padded[2 * k : 2 * k + 2]

@@ -20,6 +20,7 @@ from helpers import (
     select_field,
 )
 from sbshare import _engine
+from sbshare.scheme import combine, split
 from sbshare.shamir import FieldPolicy, SchemeParams, recover_key, split_key
 
 field_polys = st.sampled_from(REF_FIELDS)
@@ -42,6 +43,20 @@ class TestSchemeParams:
     def test_words_per_block(self):
         assert SchemeParams(n=5, m=3).words_per_block == 12
         assert SchemeParams(n=1, m=1).words_per_block == 6
+
+    def test_numpy_integers_become_ints(self):
+        # a numpy n and m would overflow words_per_block or fail mid-split
+        for n, m, width in ((np.uint8(255), np.uint8(128), 387), (np.int32(5), np.int32(3), 12)):
+            params = SchemeParams(n=n, m=m)
+            assert type(params.n) is int and type(params.m) is int
+            assert params.words_per_block == width
+            message = secrets.token_bytes(100)
+            assert combine(split(message, params)[-params.m :]) == message
+
+    def test_rejects_floats(self):
+        for n, m in ((5.0, 3), (5, 3.0)):
+            with pytest.raises(TypeError):
+                SchemeParams(n=n, m=m)
 
 
 class TestBlockRandomness:

@@ -40,11 +40,11 @@ def shares(draw):
         m=m,
         field_policy=draw(st.sampled_from(list(FieldPolicy))),
         dual_seed=draw(st.booleans()),
+        algorithm=draw(st.sampled_from(list(Algorithm))),
     )
     return Share(
         params=params,
         share_index=draw(st.integers(min_value=0, max_value=n - 1)),
-        rrsg_algorithm=draw(st.sampled_from(list(Algorithm))),
         key_share=draw(st.binary(max_size=100)),
         payload=draw(st.binary(max_size=200)),
     )
@@ -63,7 +63,6 @@ def make_blob() -> bytes:
     share = Share(
         params=SchemeParams(n=5, m=3),
         share_index=1,
-        rrsg_algorithm=Algorithm.CHACHA20,
         key_share=secrets.token_bytes(44),
         payload=secrets.token_bytes(9),
     )
@@ -88,9 +87,8 @@ class TestRoundTrip:
 
     def test_header_field_bytes(self):
         share = Share(
-            params=SchemeParams(n=3, m=2),
+            params=SchemeParams(n=3, m=2, algorithm=Algorithm.TEST_LCG),
             share_index=0,
-            rrsg_algorithm=Algorithm.TEST_LCG,
             key_share=b"",
             payload=b"",
         )
@@ -121,7 +119,6 @@ class TestRoundTrip:
                     dual_seed=dual,
                 ),
                 share_index=0,
-                rrsg_algorithm=Algorithm.CHACHA20,
                 key_share=b"",
                 payload=b"",
             )
@@ -131,7 +128,6 @@ class TestRoundTrip:
         share = Share(
             params=SchemeParams(n=1, m=1),
             share_index=0,
-            rrsg_algorithm=Algorithm.CHACHA20,
             key_share=bytes(0x10000),
             payload=b"",
         )
@@ -221,6 +217,13 @@ class TestOpenShare:
             assert share.payload[2:7] == expected.payload[2:7]
             assert share.payload[:] == expected.payload
 
+    def test_encodes_back_to_the_file(self, tmp_path):
+        blob = make_blob()
+        path = tmp_path / "share.sbs1"
+        path.write_bytes(blob)
+        with open(path, "rb") as file:
+            assert encode_share(open_share(file)) == blob
+
     @pytest.mark.parametrize(
         "case",
         [name for name in vars(TestMalformedInputs) if name.startswith("test_")
@@ -250,10 +253,11 @@ class TestOpenShare:
 
     def test_file_cut_after_opening_is_named_when_a_read_reaches_the_cut(self, tmp_path):
         # the header matched the file's size when it was opened, so only a
-        # payload read that reaches the cut can see it.  Payloads of 20,001
-        # bytes run past the 8 KiB that the file's buffer holds from the
-        # header read; payloads of 100 bytes lie wholly inside it, so a
-        # read through that buffer would miss the cut.
+        # payload read that reaches the cut can see it.  Each slice is read
+        # with os.pread, so neither case may see the file as it was when
+        # opened: the 297-byte message makes 168-byte files that one
+        # buffered read would have held whole, and the 60,000-byte message
+        # payloads of 20,001 bytes, longer than such a buffer.
         params = SchemeParams(n=5, m=3)
         for size in (60_000, 297):
             message = secrets.token_bytes(size)
