@@ -65,8 +65,7 @@ class Seed:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Seed":
-        if len(data) != SEED_LEN:
-            raise ValueError(f"serialized seed must be {SEED_LEN} bytes")
+        """The seed that to_bytes gave as data; a length other than SEED_LEN raises ValueError."""
         return cls(bytes(data[:KEY_LEN]), bytes(data[KEY_LEN:]))
 
     def to_bytes(self) -> bytes:
@@ -238,7 +237,7 @@ def new_stream(seed: Seed | list[Seed], algorithm: Algorithm | int, widths=(1,))
     return RrsgStream(seeds, alg, tuple(widths))
 
 
-def check_capacity(algorithm: Algorithm | int, nblocks: int, widths: tuple[int, ...]) -> None:
+def check_capacity(algorithm: Algorithm, nblocks: int, widths: tuple[int, ...]) -> None:
     """Raise ValueError unless each stream of an op holds nblocks blocks from word 0.
 
     widths are the words per block that each seed gives; _WORD_LIMITS
@@ -250,7 +249,7 @@ def check_capacity(algorithm: Algorithm | int, nblocks: int, widths: tuple[int, 
     if limit is not None and nblocks * max(widths) > limit:
         raise ValueError(
             f"keystream exhausted: {nblocks} blocks need {nblocks * max(widths)} words from one seed; "
-            f"{Algorithm(algorithm).name} gives at most 2^{limit.bit_length() - 1}"
+            f"{algorithm.name} gives at most 2^{limit.bit_length() - 1}"
         )
 
 

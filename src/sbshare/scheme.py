@@ -17,6 +17,7 @@ split, combine and recover_range are those walks run over data in
 memory, with the chunks' outputs joined.
 """
 
+import operator
 from dataclasses import dataclass
 
 from . import _engine
@@ -46,6 +47,7 @@ class Share:
     payload: bytes
 
     def __post_init__(self):
+        object.__setattr__(self, "share_index", operator.index(self.share_index))
         if not 0 <= self.share_index < self.params.n:
             raise ValueError("share_index out of range for params")
 
@@ -130,7 +132,7 @@ def split_stream(read, size: int, params: SchemeParams):
             padded = data if want == count * m else pad(data, m)
             yield _engine.split_payloads(padded, params, stream, start)
 
-    return split_key(key_material, params.n, m), chunks()
+    return split_key(key_material, params), chunks()
 
 
 def _validate_set(shares: list) -> list:
@@ -191,7 +193,7 @@ def recover_stream(shares: list[Share], block_range: tuple[int, int] | None = No
     block_start, block_count = (0, total) if block_range is None else block_range
     if block_start < 0 or block_count < 0 or block_start + block_count > total:
         raise ValueError("block range outside the share payload")
-    key_material = recover_key([(s.share_index, s.key_share) for s in chosen], params.m)
+    key_material = recover_key([(s.share_index, s.key_share) for s in chosen])
     stream = _open_stream(params, key_material, block_start + block_count)
     indices = [s.share_index for s in chosen]
     # slices of a view are not copies; a payload left in its file reads its slices

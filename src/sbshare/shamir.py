@@ -9,7 +9,9 @@ and the per-block transform they drive lives in _engine.
 split_key and recover_key share the keystream seeds themselves with
 classic per-byte Shamir over the canonical field, run by the same
 vectorized engine: each key byte is a block, so key share j is row j of
-its (n, len(key)) values.
+its (n, len(key)) values.  Neither checks its inputs again:
+SchemeParams checks n and m, and scheme._validate_set and Share check
+a recovery set's pairs.
 """
 
 import operator
@@ -51,6 +53,9 @@ class SchemeParams:
         object.__setattr__(self, "m", operator.index(self.m))
         object.__setattr__(self, "field_policy", FieldPolicy(self.field_policy))
         object.__setattr__(self, "algorithm", Algorithm(self.algorithm))
+        if not isinstance(self.dual_seed, (bool, np.bool_)):
+            raise TypeError(f"dual_seed must be a bool, not {type(self.dual_seed).__name__}")
+        object.__setattr__(self, "dual_seed", bool(self.dual_seed))
         if not 1 <= self.m <= self.n <= 255:
             # n distinct nonzero evaluation points must exist in GF(2^8)
             raise ValueError(
@@ -62,15 +67,14 @@ class SchemeParams:
         return self.m + self.n + EXTRA_WORDS
 
 
-def split_key(key: bytes, n: int, m: int) -> list[bytes]:
-    """Split key material into n classic Shamir shares of equal length.
+def split_key(key: bytes, params: SchemeParams) -> list[bytes]:
+    """Split key material into params.n classic Shamir shares of equal length.
 
     Each byte is the constant term of its own degree-(m-1) polynomial
     whose remaining coefficients come from system entropy; share j holds
     the evaluations at x = j+1 over the canonical field.
     """
-    if not 1 <= m <= n <= 255:
-        raise ValueError(f"invalid parameters n={n}, m={m}")
+    n, m = params.n, params.m
     entropy = secrets.token_bytes(len(key) * (m - 1))
     rest = np.frombuffer(entropy, dtype=np.uint8).reshape(len(key), m - 1)
     coeffs = np.vstack((np.frombuffer(key, dtype=np.uint8), rest.T))
@@ -79,24 +83,16 @@ def split_key(key: bytes, n: int, m: int) -> list[bytes]:
     return [row.tobytes() for row in ys]
 
 
-def recover_key(shares: Sequence[tuple[int, bytes]], m: int) -> bytes:
-    """Rebuild key material from m (share_index, key_share) pairs.
+def recover_key(pairs: Sequence[tuple[int, bytes]]) -> bytes:
+    """Rebuild key material from (share_index, key_share) pairs.
 
-    Lagrange interpolation at zero over the canonical field;
-    share_index j corresponds to evaluation point j+1.
+    Lagrange interpolation at zero over the canonical field through
+    every pair given; share_index j corresponds to evaluation point j+1.
+    Any m or more pairs of one split give its key.  The pairs are not
+    checked here: on every library path Share keeps each index in
+    0..n-1 and scheme._validate_set keeps them distinct, at least m of
+    them, and their key shares one length.
     """
-    shares = list(shares)
-    if len(shares) < m:
-        raise ValueError(f"need at least {m} key shares, got {len(shares)}")
-    indices = [idx for idx, _ in shares]
-    if len(set(indices)) != len(indices):
-        raise ValueError("duplicate share indices")
-    if not all(0 <= idx < 255 for idx in indices):
-        raise ValueError("share index out of range 0..254")
-    chosen = shares[:m]
-    length = len(chosen[0][1])
-    if any(len(data) != length for _, data in chosen):
-        raise ValueError("key shares have inconsistent lengths")
-    xs = np.array(indices[:m], dtype=np.uint8) + 1
-    ys = np.frombuffer(b"".join(data for _, data in chosen), dtype=np.uint8).reshape(m, length)
+    xs = np.array([idx for idx, _ in pairs], dtype=np.uint8) + 1
+    ys = np.frombuffer(b"".join(data for _, data in pairs), dtype=np.uint8).reshape(len(pairs), -1)
     return _engine.interpolate_at_zero(xs, ys).tobytes()

@@ -29,7 +29,6 @@ import struct
 import zlib
 from typing import BinaryIO
 
-from .rrsg import Algorithm
 from .scheme import Share
 from .shamir import FieldPolicy, SchemeParams
 
@@ -110,25 +109,18 @@ def _decode_header(data: bytes, size: int) -> tuple[SchemeParams, int, int]:
         raise VersionError(f"unsupported version {version}")
     if flags & ~_KNOWN_FLAGS:
         raise HeaderError(f"unknown flag bits 0x{flags:02x}")
-    if not 1 <= m <= n:
-        raise HeaderError(f"invalid threshold m={m} for n={n}")
+    policy = FieldPolicy.FIXED_CANONICAL if flags & _FLAG_FIXED_FIELD else FieldPolicy.RANDOM_PER_BLOCK
+    try:
+        params = SchemeParams(n, m, policy, bool(flags & _FLAG_DUAL_SEED), alg)
+    except ValueError as exc:
+        raise HeaderError(str(exc)) from None
     if index >= n:
         raise HeaderError(f"share_index {index} out of range for n={n}")
-    try:
-        algorithm = Algorithm(alg)
-    except ValueError:
-        raise HeaderError(f"unknown rrsg algorithm id {alg}") from None
     expected = HEADER_LEN + key_len + payload_len
     if size < expected:
         raise TruncatedError(f"declared {expected} bytes, got {size}")
     if size > expected:
         raise FormatError(f"{size - expected} trailing bytes after payload")
-    policy = (
-        FieldPolicy.FIXED_CANONICAL
-        if flags & _FLAG_FIXED_FIELD
-        else FieldPolicy.RANDOM_PER_BLOCK
-    )
-    params = SchemeParams(n, m, policy, bool(flags & _FLAG_DUAL_SEED), algorithm)
     return params, index, key_len
 
 

@@ -117,6 +117,19 @@ class TestCombine:
         assert "payload" in capsys.readouterr().err
         assert not out_file.exists()
 
+    @pytest.mark.parametrize("dual, key_len", [(True, 44), (False, 88)])
+    def test_key_share_length_exits_4(self, workspace, tmp_path, capsys, dual, key_len):
+        # headers that agree with each other but carry the other seed count's key shares
+        paths = split_fixture(workspace, *(["--dual-seed"] if dual else []))[:3]
+        for path in paths:
+            share = decode_share(path.read_bytes())
+            head = encode_header(share.params, share.share_index, bytes(key_len), len(share.payload))
+            path.write_bytes(head + share.payload)
+        out_file = tmp_path / "restored.bin"
+        assert main(["combine", *map(str, paths), "-o", str(out_file)]) == EXIT_SHARES
+        assert "key share length" in capsys.readouterr().err
+        assert not out_file.exists()
+
     def test_mixed_splits_exit_4_or_5(self, workspace, tmp_path, capsys):
         tmp_path_ws, source = workspace
         first = split_fixture(workspace)

@@ -1,9 +1,11 @@
 """End-to-end pipeline tests, including the scalar reference cross-checks."""
 
+import dataclasses
 import hashlib
 import itertools
 import secrets
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -93,8 +95,17 @@ class TestSplitStructure:
 
     def test_share_index_validation(self):
         params = SchemeParams(n=2, m=2)
-        with pytest.raises(ValueError):
-            Share(params, 2, b"", b"")
+        for index in (2, -1):
+            with pytest.raises(ValueError):
+                Share(params, index, b"", b"")
+
+    def test_share_index_is_an_int(self):
+        # a float index would fail only later, slicing in combine or packing in encode_share
+        params = SchemeParams(n=2, m=2)
+        with pytest.raises(TypeError):
+            Share(params, 1.0, bytes(44), b"")
+        share = Share(params, np.int64(1), bytes(44), b"")
+        assert type(share.share_index) is int and share.share_index == 1
 
 
 class TestRoundTrip:
@@ -261,6 +272,19 @@ class TestShareSetValidation:
         b = split(b"a much longer message body", SchemeParams(n=3, m=2))
         with pytest.raises(ShareSetError):
             combine([a[0], b[1]])
+
+    @pytest.mark.parametrize("dual, key_len", [(True, 44), (False, 88)])
+    def test_key_share_length_must_match_seeds(self, dual, key_len):
+        # one seed's key shares in a dual-seed set, or two seeds' in a single-seed one
+        shares = split(b"secret", SchemeParams(n=3, m=2, dual_seed=dual))
+        wrong = [dataclasses.replace(s, key_share=s.key_share[:key_len].ljust(key_len, b"\0")) for s in shares]
+        with pytest.raises(ShareSetError, match="key share length"):
+            combine(wrong)
+        with pytest.raises(ShareSetError, match="key share length"):
+            recover_range(wrong, 0, 1)
+        # one share of the wrong length among right ones
+        with pytest.raises(ShareSetError, match="key share length"):
+            combine([shares[0], wrong[1]])
 
     def test_mixed_splits_do_not_recover(self):
         # There is no integrity protection: combining shares of two

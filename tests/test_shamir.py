@@ -58,6 +58,15 @@ class TestSchemeParams:
             with pytest.raises(TypeError):
                 SchemeParams(n=n, m=m)
 
+    def test_dual_seed_is_a_bool(self):
+        # bool("no") is True: converting any value, or keeping it, could make a two-seed split
+        for value in ("no", None, 1):
+            with pytest.raises(TypeError):
+                SchemeParams(n=3, m=2, dual_seed=value)
+        for value, want in ((np.True_, True), (np.False_, False), (True, True)):
+            assert SchemeParams(n=3, m=2, dual_seed=value).dual_seed is want
+        assert SchemeParams(n=3, m=2, dual_seed=np.True_) == SchemeParams(n=3, m=2, dual_seed=True)
+
 
 class TestBlockRandomness:
     def test_partition(self):
@@ -242,63 +251,48 @@ class TestInterpolateBlock:
 class TestKeySplit:
     def test_threshold_one_copies_key(self):
         key = secrets.token_bytes(44)
-        for share in split_key(key, 4, 1):
+        for share in split_key(key, SchemeParams(4, 1)):
             assert share == key
 
     def test_known_coefficient_example(self, monkeypatch):
         # With the random coefficient forced to 0x01 the polynomial is
         # f(x) = 0xAB ^ x, so f(1) = 0xAA and f(2) = 0xA9.
         monkeypatch.setattr("sbshare.shamir.secrets.token_bytes", lambda k: b"\x01" * k)
-        shares = split_key(b"\xab", 2, 2)
+        shares = split_key(b"\xab", SchemeParams(2, 2))
         assert shares == [b"\xaa", b"\xa9"]
 
     def test_round_trip_all_subsets(self):
         key = secrets.token_bytes(20)
         for n in range(1, 7):
             for m in range(1, n + 1):
-                shares = split_key(key, n, m)
+                shares = split_key(key, SchemeParams(n, m))
                 assert all(len(s) == len(key) for s in shares)
                 for subset in itertools.combinations(enumerate(shares), m):
-                    assert recover_key(list(subset), m) == key
+                    assert recover_key(list(subset)) == key
 
     @pytest.mark.parametrize("m", [1, 2, 128, 255])
     def test_round_trip_n_255(self, m):
         key = secrets.token_bytes(44)
-        pairs = list(enumerate(split_key(key, 255, m)))
+        pairs = list(enumerate(split_key(key, SchemeParams(255, m))))
         secrets.SystemRandom().shuffle(pairs)
-        assert recover_key(pairs[:m], m) == key
+        assert recover_key(pairs[:m]) == key
 
     def test_matches_scalar_evaluation(self, monkeypatch):
         entropy = secrets.token_bytes(88 * 15)
         monkeypatch.setattr("sbshare.shamir.secrets.token_bytes", lambda k: entropy[:k])
         key = secrets.token_bytes(88)
-        shares = split_key(key, 32, 16)
+        shares = split_key(key, SchemeParams(32, 16))
         field = REF_FIELDS[0]
         for i, byte in enumerate(key):
             coeffs = bytes([byte]) + entropy[i * 15 : (i + 1) * 15]
             ys = eval_block(coeffs, range(1, 33), field)
             assert bytes(share[i] for share in shares) == ys
 
-    def test_index_out_of_range(self):
-        shares = split_key(b"\x01\x02", 3, 2)
-        with pytest.raises(ValueError):
-            recover_key([(0, shares[0]), (255, shares[1])], 2)
-        with pytest.raises(ValueError):
-            recover_key([(-1, shares[0]), (1, shares[1])], 2)
-
     def test_extra_shares_ignored_beyond_m(self):
         key = secrets.token_bytes(8)
-        shares = split_key(key, 5, 2)
-        assert recover_key(list(enumerate(shares)), 2) == key
+        shares = split_key(key, SchemeParams(5, 2))
+        # every pair given is interpolated: surplus pairs of one split lie on its polynomial
+        pairs = list(enumerate(shares))
+        assert recover_key(pairs) == key
+        assert recover_key(pairs[:0:-1]) == key
 
-    def test_errors(self):
-        key = b"\x01\x02"
-        shares = split_key(key, 3, 2)
-        with pytest.raises(ValueError):
-            recover_key([(0, shares[0])], 2)
-        with pytest.raises(ValueError):
-            recover_key([(1, shares[1]), (1, shares[1])], 2)
-        with pytest.raises(ValueError):
-            recover_key([(0, shares[0]), (1, shares[1][:1])], 2)
-        with pytest.raises(ValueError):
-            split_key(key, 2, 3)
