@@ -24,7 +24,11 @@ The 30 fields are isomorphic (ibid., Thm 2.5), so a kernel maps each
 block's words into field 0 through its field's GF(2)-linear
 isomorphism, _TO0[f << 8 | a] = phi_f(a), and its results back through
 _FROM0.  Interpolation is Newton's divided differences (Knuth, TAOCP
-Vol. 2, 4.6.4), m(m - 1) gathers per block.  Both transforms work in
+Vol. 2, 4.6.4), m(m - 1) gathers per block, each level and each Newton
+step written in place.  Key recovery's Lagrange weights, many factors
+of one product, are multiplied in one step through field 0's log and
+antilog tables _LOG and _EXP, to the base 3, a generator of GF(2^8)*
+(Plank, SP&E 1997).  Both transforms work in
 slices of _SLICE_WORDS words that keep their uint16 index temporaries a
 fixed size.  Points are linear probing (ibid., Vol. 3, 6.4, Algorithm L):
 on runs of at most n^2 blocks in sorted rounds, as many as the longest
@@ -80,6 +84,20 @@ def _field0_tables() -> tuple:
 
 
 FIELDS, _MUL, _DIV, _TO0, _FROM0 = _field0_tables()
+
+
+def _log_tables() -> tuple:
+    """_LOG (log 0 read as 0) and _EXP, the 255 powers of 3, built from _MUL's row 3."""
+    times3, power = _MUL[3 << 8 : 4 << 8].tolist(), [1] * 255
+    for k in range(1, 255):  # a Python list: a numpy call per power cost more at import
+        power[k] = times3[power[k - 1]]
+    exp = np.array(power, dtype=np.uint8)
+    log = np.zeros(256, dtype=np.uint8)
+    log[exp] = np.arange(255, dtype=np.uint8)
+    return log, exp
+
+
+_LOG, _EXP = _log_tables()
 
 
 def _slices(nblocks: int, width: int):
@@ -188,11 +206,9 @@ def interpolate_blocks(points: np.ndarray, values: np.ndarray, f: np.ndarray) ->
         fs = f[s].astype(np.uint16) << 8
         x, d = _TO0.take(fs | points[:, s]), _TO0.take(fs | values[:, s])
         for l in range(1, m):
-            d[l:] = _DIV.take(_rows(d[l:] ^ d[l - 1 : -1]) | (x[l:] ^ x[: m - l]))
+            _DIV.take(_rows(d[l:] ^ d[l - 1 : -1]) | (x[l:] ^ x[: m - l]), out=d[l:])
         for k in range(m - 2, -1, -1):
-            prod = _MUL.take(_rows(x[k]) | d[k + 1 :])
-            d[k] ^= prod[0]
-            d[k + 1 : m - 1] ^= prod[1:]
+            d[k : m - 1] ^= _MUL.take(_rows(x[k]) | d[k + 1 :])
         out[:, s] = _FROM0.take(fs | d)
     return out
 
@@ -204,14 +220,13 @@ def interpolate_at_zero(points: np.ndarray, values: np.ndarray) -> np.ndarray:
     values of polynomial k.  The Lagrange weights at zero,
     l_i(0) = prod_{j != i} x_j / (x_i + x_j), are the same for every
     column, so each result word costs m products and one XOR reduction.
+    Every factor is nonzero, so each weight is one product in the log
+    domain: 3 to the sum of the factors' logs to the base 3, mod 255.
     """
     frac = _DIV.take(_rows(points) | (points[:, None] ^ points))  # [i, j] = x_j / (x_i + x_j)
     np.fill_diagonal(frac, 1)
-    while frac.shape[1] > 1:  # multiply the columns together, halving each pass
-        half = frac.shape[1] // 2
-        pairs = _MUL.take(_rows(frac[:, :half]) | frac[:, half : 2 * half])
-        frac = np.concatenate((pairs, frac[:, 2 * half :]), axis=1)
-    return np.bitwise_xor.reduce(_MUL.take(_rows(frac) | values), axis=0)
+    weights = _EXP.take(_LOG.take(frac).sum(axis=1, keepdims=True) % 255)
+    return np.bitwise_xor.reduce(_MUL.take(_rows(weights) | values), axis=0)
 
 
 def stream_widths(params: shamir.SchemeParams) -> tuple[int, ...]:

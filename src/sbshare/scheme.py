@@ -147,7 +147,8 @@ def _validate_set(shares: list) -> list:
     params = first.params
     key_len = SEED_LEN * len(_engine.stream_widths(params))
     for s in shares:
-        if s.params != params:
+        # decoded shares of one set hold one params object: identity settles most sets
+        if s.params is not params and s.params != params:
             raise ShareSetError("shares disagree on scheme parameters")
         if s.block_count != first.block_count:
             raise ShareSetError("shares disagree on payload length")

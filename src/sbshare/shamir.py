@@ -58,9 +58,7 @@ class SchemeParams:
         object.__setattr__(self, "dual_seed", bool(self.dual_seed))
         if not 1 <= self.m <= self.n <= 255:
             # n distinct nonzero evaluation points must exist in GF(2^8)
-            raise ValueError(
-                f"invalid parameters n={self.n}, m={self.m}: need 1 <= m <= n <= 255"
-            )
+            raise ValueError(f"n={self.n}, m={self.m}: need 1 <= m <= n <= 255")
 
     @property
     def words_per_block(self) -> int:

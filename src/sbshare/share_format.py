@@ -24,6 +24,7 @@ itself; open_share reads a share from an open file and leaves its
 payload there, to be read a slice at a time.
 """
 
+import functools
 import os
 import struct
 import zlib
@@ -90,6 +91,17 @@ def encode_header(params: SchemeParams, share_index: int, key_share: bytes, payl
     return packed + struct.pack(">I", zlib.crc32(packed)) + key_share
 
 
+@functools.lru_cache(maxsize=32)
+def _params(n: int, m: int, flags: int, alg: int) -> SchemeParams:
+    """The params that a header's fields give, one object for every share of a set.
+
+    lru_cache stores no exception, so a header that SchemeParams rejects
+    raises again on every call.
+    """
+    policy = FieldPolicy.FIXED_CANONICAL if flags & _FLAG_FIXED_FIELD else FieldPolicy.RANDOM_PER_BLOCK
+    return SchemeParams(n, m, policy, bool(flags & _FLAG_DUAL_SEED), alg)
+
+
 def _decode_header(data: bytes, size: int) -> tuple[SchemeParams, int, int]:
     """Check the header at the start of size bytes of .sbs1 data.
 
@@ -109,9 +121,8 @@ def _decode_header(data: bytes, size: int) -> tuple[SchemeParams, int, int]:
         raise VersionError(f"unsupported version {version}")
     if flags & ~_KNOWN_FLAGS:
         raise HeaderError(f"unknown flag bits 0x{flags:02x}")
-    policy = FieldPolicy.FIXED_CANONICAL if flags & _FLAG_FIXED_FIELD else FieldPolicy.RANDOM_PER_BLOCK
     try:
-        params = SchemeParams(n, m, policy, bool(flags & _FLAG_DUAL_SEED), alg)
+        params = _params(n, m, flags, alg)
     except ValueError as exc:
         raise HeaderError(str(exc)) from None
     if index >= n:

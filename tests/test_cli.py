@@ -58,7 +58,9 @@ class TestSplit:
     def test_invalid_threshold_exits_3(self, workspace, capsys):
         tmp_path, source = workspace
         assert main(["split", str(source), "-n", "3", "-m", "5"]) == EXIT_PARAMS
-        assert "invalid parameters" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "invalid parameters" in err
+        assert err.count("invalid parameters") == 1
 
     def test_missing_input_exits_2(self, tmp_path, capsys):
         missing = tmp_path / "nope.bin"

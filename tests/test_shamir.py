@@ -1,6 +1,7 @@
 """Block mathematics tests: masking, points, field pick, eval/interp, key split."""
 
 import itertools
+import random
 import secrets
 
 import numpy as np
@@ -287,6 +288,23 @@ class TestKeySplit:
             coeffs = bytes([byte]) + entropy[i * 15 : (i + 1) * 15]
             ys = eval_block(coeffs, range(1, 33), field)
             assert bytes(share[i] for share in shares) == ys
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 16, 255])
+    def test_matches_scalar_interpolation_on_arbitrary_pairs(self, k):
+        # random key shares at random distinct indices, not a split's: each index set
+        # holds 0 or 254 (both once k > 1), whose points 1 and 255 are the range's ends
+        rng = random.Random(k)
+        field = REF_FIELDS[0]
+        for ends in ([0], [254]) if k == 1 else ([0, 254],):
+            rest = rng.sample(range(1, 254), k - len(ends))
+            indices = rng.sample(ends + rest, k)
+            length = 1 if k == 255 else 6  # the oracle's elimination is cubic in k
+            shares = [rng.randbytes(length) for _ in indices]
+            want = bytes(
+                interpolate_block([i + 1 for i in indices], [s[b] for s in shares], field)[0]
+                for b in range(length)
+            )
+            assert recover_key(list(zip(indices, shares))) == want
 
     def test_extra_shares_ignored_beyond_m(self):
         key = secrets.token_bytes(8)

@@ -202,6 +202,29 @@ class TestMalformedInputs:
             decode_share(patched(make_blob(), 7, b"\xff", fix_crc=False))
 
 
+class TestParamsCache:
+    """Shares decoded from one set hold one SchemeParams object."""
+
+    def test_shares_of_one_split_hold_one_params(self, tmp_path):
+        params = SchemeParams(7, 4, FieldPolicy.FIXED_CANONICAL, dual_seed=True)
+        blobs = [encode_share(s) for s in split(secrets.token_bytes(50), params)]
+        decoded = [decode_share(b) for b in blobs]
+        path = tmp_path / "share.sbs1"
+        path.write_bytes(blobs[2])
+        with open(path, "rb") as file:
+            decoded.append(open_share(file))
+        assert all(s.params is decoded[0].params for s in decoded)
+        assert decoded[0].params == SchemeParams(7, 4, FieldPolicy.FIXED_CANONICAL, True)
+
+    @pytest.mark.parametrize("offset, value", [(6, bytes([2, 3])), (9, b"\x7f")])
+    def test_rejected_header_raises_on_every_decode(self, offset, value):
+        # m > n, then an unknown algorithm id: a rejected header is never cached
+        blob = patched(make_blob(), offset, value)
+        for _ in range(2):
+            with pytest.raises(HeaderError):
+                decode_share(blob)
+
+
 class TestOpenShare:
     """open_share reads the header and key share and leaves the payload in the file."""
 
