@@ -11,29 +11,31 @@ op reads one stream, which gives a block's m + n + 4 words in the same
 order whatever the number of seeds.  split_payloads and recover_padded
 transpose the plaintext at the edge, in its XOR with the masks.
 
-Field elements are bytes, bit i the coefficient of x^i.  FIELDS holds
-the 30 irreducible degree-8 reduction polynomials, encoded the same way
-with bit 8 set, in ascending order: a field's index is its position, and
-field 0 is FIELD0_POLY, x^8 + x^4 + x^3 + x + 1.  They are read off field
-0's tables, since an octic is irreducible exactly when it has a root in
-GF(2^8) outside GF(2^4) (Lidl & Niederreiter, Finite Fields, ch. 3).
+Field elements are bytes, bit i the coefficient of x^i.  Field 0,
+FIELD0_POLY = x^8 + x^4 + x^3 + x + 1, is read off one walk of the
+powers of its generator 3 (Lidl & Niederreiter, Finite Fields, Thm 2.8),
+which gives the antilog and log tables _EXP and _LOG; every other table
+comes from those two.  FIELDS holds the 30 irreducible degree-8
+reduction polynomials, encoded the same way with bit 8 set, in ascending
+order: a field's index is its position.  They too are read off field 0,
+since an octic is irreducible exactly when it has a root in GF(2^8)
+outside GF(2^4) (ibid., ch. 3).
 
-All arithmetic runs in field 0, one gather from a 64 KiB table per
-product, a * b = _MUL[a << 8 | b], or quotient, a / b = _DIV[a << 8 | b].
-The 30 fields are isomorphic (ibid., Thm 2.5), so a kernel maps each
-block's words into field 0 through its field's GF(2)-linear
-isomorphism, _TO0[f << 8 | a] = phi_f(a), and its results back through
-_FROM0.  Interpolation is Newton's divided differences (Knuth, TAOCP
-Vol. 2, 4.6.4), m(m - 1) gathers per block, each level and each Newton
-step written in place.  Key recovery's Lagrange weights, many factors
-of one product, are multiplied in one step through field 0's log and
-antilog tables _LOG and _EXP, to the base 3, a generator of GF(2^8)*
-(Plank, SP&E 1997).  Both transforms work in
-slices of _SLICE_WORDS words that keep their uint16 index temporaries a
-fixed size.  Points are linear probing (ibid., Vol. 3, 6.4, Algorithm L):
-on runs of at most n^2 blocks in sorted rounds, as many as the longest
-probe (a median of 3-6 at n=32), on wider runs in n - 1 passes;
-recovery derives them only up to the highest share index it reads.
+Bulk data runs in field 0, one gather from a 64 KiB table per product,
+a * b = _MUL[a << 8 | b], or quotient, a / b = _DIV[a << 8 | b].  The 30
+fields are isomorphic (ibid., Thm 2.5), so a kernel maps each block's
+words into field 0 through its field's GF(2)-linear isomorphism,
+_TO0[f << 8 | a] = phi_f(a), and its results back through _FROM0.  Key
+recovery's Lagrange weights, many factors of one product, are
+multiplied in one step in the log domain (Plank, SP&E 1997).
+Interpolation is Newton's divided differences (Knuth, TAOCP Vol. 2,
+4.6.4), m(m - 1) gathers per block, each level and each Newton step
+written in place.  Both transforms work in slices of _SLICE_WORDS words
+that keep their uint16 index temporaries a fixed size.  Points are
+linear probing (ibid., Vol. 3, 6.4, Algorithm L): on runs of at most
+n^2 blocks in sorted rounds, as many as the longest probe (a median of
+3-6 at n=32), on wider runs in n - 1 passes; recovery derives them only
+up to the highest share index it reads.
 
 split_payloads and recover_padded transform one run of blocks from any
 block_start: a block's transform reads only its own keystream words,
@@ -61,43 +63,31 @@ def _rows(a: np.ndarray) -> np.ndarray:
 
 
 def _field0_tables() -> tuple:
-    """FIELDS, _MUL, _DIV (a / 0 is 0), _TO0 and _FROM0; phi_f(t) is the least root of p_f."""
-    word = np.arange(256, dtype=np.uint16)
-    prod = np.zeros((256, 256), dtype=np.uint16)
-    for i in range(8):  # carry-less product: a << i wherever bit i of b is set
-        prod ^= (word[:, None] << i) * (word >> i & 1)
-    for i in range(14, 7, -1):  # clear bits 14..8 with field 0's polynomial
-        prod ^= (prod >> i & 1) * np.uint16(FIELD0_POLY << (i - 8))
-    mul = prod.astype(np.uint8)
-    div = mul[:, (mul == 1).argmax(axis=0)]  # column 0 has no 1: row 0 gives a / 0 = a * 0
-    power = np.ones(256, dtype=np.uint8)
-    at = np.zeros((256, 512), dtype=np.uint8)  # [b, a] = a, a polynomial in t, at t = b
-    for i in range(9):
-        at[:, 1 << i : 2 << i] = at[:, : 1 << i] ^ power[:, None]
-        power = mul[power, word]
-    sq = mul[word, word]
-    deg8 = sq[sq[sq[sq]]] != word  # b^16 != b: b lies outside GF(2^4)
-    polys = 256 + np.flatnonzero((at[deg8, 256:] == 0).any(axis=0))  # p_f, field f's polynomial
-    to0 = at[(at[:, polys] == 0).argmax(axis=0), :256]
-    tables = mul.ravel(), div.ravel(), to0.ravel(), to0.argsort(axis=1).astype(np.uint8).ravel()
-    return (tuple(polys.tolist()), *tables)
-
-
-FIELDS, _MUL, _DIV, _TO0, _FROM0 = _field0_tables()
-
-
-def _log_tables() -> tuple:
-    """_LOG (log 0 read as 0) and _EXP, the 255 powers of 3, built from _MUL's row 3."""
-    times3, power = _MUL[3 << 8 : 4 << 8].tolist(), [1] * 255
+    """FIELDS, _MUL, _DIV (a / 0 is 0), _TO0, _FROM0, _LOG (log 0 read as 0) and _EXP."""
+    power = [1] * 255
     for k in range(1, 255):  # a Python list: a numpy call per power cost more at import
-        power[k] = times3[power[k - 1]]
+        a = power[k - 1]
+        power[k] = a ^ a << 1 ^ (a >> 7) * FIELD0_POLY  # 3a = a + 2a, 2a reduced
     exp = np.array(power, dtype=np.uint8)
     log = np.zeros(256, dtype=np.uint8)
     log[exp] = np.arange(255, dtype=np.uint8)
-    return log, exp
+    logs = log.astype(np.uint16)  # intp sums left 0.7 MiB more resident after import
+    antilog = np.tile(exp, 2)  # 3^k for k < 510: sums and differences of logs need no % 255
+    mul = antilog[logs[:, None] + logs]
+    div = antilog[logs[:, None] + 255 - logs]
+    mul[0] = mul[:, 0] = 0
+    div[0] = div[:, 0] = 0
+    at = np.zeros((255, 512), dtype=np.uint8)  # [b - 1, a] = a, a polynomial in t, at t = b
+    for i in range(9):  # b^i = 3^(i log b)
+        at[:, 1 << i : 2 << i] = at[:, : 1 << i] ^ exp[logs[1:] * i % 255, None]
+    deg8 = logs[1:] % 17 != 0  # b^15 != 1: b lies outside GF(2^4)
+    polys = 256 + np.flatnonzero((at[deg8, 256:] == 0).any(axis=0))  # p_f, field f's polynomial
+    to0 = at[(at[:, polys] == 0).argmax(axis=0), :256]  # phi_f(t), the least root of p_f
+    tables = mul.ravel(), div.ravel(), to0.ravel(), to0.argsort(axis=1).astype(np.uint8).ravel()
+    return (tuple(polys.tolist()), *tables, log, exp)
 
 
-_LOG, _EXP = _log_tables()
+FIELDS, _MUL, _DIV, _TO0, _FROM0, _LOG, _EXP = _field0_tables()
 
 
 def _slices(nblocks: int, width: int):
@@ -220,11 +210,12 @@ def interpolate_at_zero(points: np.ndarray, values: np.ndarray) -> np.ndarray:
     values of polynomial k.  The Lagrange weights at zero,
     l_i(0) = prod_{j != i} x_j / (x_i + x_j), are the same for every
     column, so each result word costs m products and one XOR reduction.
-    Every factor is nonzero, so each weight is one product in the log
-    domain: 3 to the sum of the factors' logs to the base 3, mod 255.
+    Each weight is one product in the log domain: 3 to the sum of its
+    factors' logs to the base 3, mod 255.  Off the diagonal every factor
+    is nonzero; the diagonal reads x_i / 0 = 0, and log 0 reads 0, as
+    log 1 does, so it adds nothing to the sum.
     """
     frac = _DIV.take(_rows(points) | (points[:, None] ^ points))  # [i, j] = x_j / (x_i + x_j)
-    np.fill_diagonal(frac, 1)
     weights = _EXP.take(_LOG.take(frac).sum(axis=1, keepdims=True) % 255)
     return np.bitwise_xor.reduce(_MUL.take(_rows(weights) | values), axis=0)
 

@@ -87,6 +87,13 @@ def test_field_tables_through_isomorphisms_match_every_field():
         index = phi[a].astype(np.intp) << 8 | phi[b]
         assert np.array_equal(from0[f, _engine._MUL[index]], table)
         assert np.array_equal(from0[f, _engine._DIV[index]], table[:, inverse])
+    # the walk every table is read off: 3 generates all 255 nonzero words,
+    # and log 0 reads 0, as log 1 does, which key weights rely on
+    log, exp = _engine._LOG, _engine._EXP
+    assert len(set(exp.tolist())) == 255 and 0 not in exp
+    assert exp[0] == 1 and np.array_equal(exp[1:], mul_table(REF_FIELDS[0])[exp[:-1], 3])
+    assert all(exp[log[a]] == a for a in range(1, 256))
+    assert log[0] == 0
 
 
 def test_no_blocks():
