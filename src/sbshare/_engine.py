@@ -6,9 +6,9 @@ semantics are defined by the scalar oracle in tests/helpers.py, and the
 test suite holds the two equal.  Every array it computes is word-major,
 one column per block: points and values (n, B), coefficients (m, B), so
 row i of the values is share i's payload.  Only the keystream words are
-block-major, (B, words), in the layout keystream_blocks alone knows: an
-op reads one stream, which gives a block's m + n + 4 words in the same
-order whatever the number of seeds.  split_payloads and recover_padded
+block-major, (B, words), in the layout stream_widths alone states: an
+op reads one stream, which gives a block's words in the same order
+whatever the number of seeds.  split_payloads and recover_padded
 transpose the plaintext at the edge, in its XOR with the masks.
 
 Field elements are bytes, bit i the coefficient of x^i.  Field 0,
@@ -43,13 +43,14 @@ which a seekable stream gives, so consecutive runs give the whole
 message's outputs, cut at the seams.  chunks cuts a message into runs of
 about _CHUNK_WORDS keystream words, which scheme's chunk walks transform
 one at a time, so their working set does not grow with the message.
+Of sbshare's modules it imports only rrsg: shamir imports it, so the
+params it takes, shamir.SchemeParams, are named in annotations alone.
 """
 
-from __future__ import annotations
+from enum import IntEnum
 
 import numpy as np
 
-from . import shamir
 from .rrsg import RrsgStream
 
 FIELD0_POLY = 0x11B
@@ -153,14 +154,25 @@ def _points_in_rounds(point_words: np.ndarray) -> np.ndarray:
     return keys.astype(np.uint8).T
 
 
-def field_indices(field_words: np.ndarray, policy: shamir.FieldPolicy) -> np.ndarray:
-    """(B, 4) words -> (B,) canonical field indices, as uint8.
+#: Field-selection words per block, after its points: one big-endian uint32.
+EXTRA_WORDS = 4
+
+
+class FieldPolicy(IntEnum):
+    """How the working field is chosen for each block."""
+
+    RANDOM_PER_BLOCK = 0
+    FIXED_CANONICAL = 1
+
+
+def field_indices(field_words: np.ndarray, policy: FieldPolicy) -> np.ndarray:
+    """(B, EXTRA_WORDS) words -> (B,) canonical field indices, as uint8.
 
     A block's four words are read in place as one big-endian 32-bit
     integer, taken modulo the number of fields; numpy raises unless
     they are contiguous, as they are in a keystream view.
     """
-    if policy == shamir.FieldPolicy.FIXED_CANONICAL:
+    if policy == FieldPolicy.FIXED_CANONICAL:
         return np.zeros(field_words.shape[0], dtype=np.uint8)
     return (field_words.view(">u4")[:, 0] % len(FIELDS)).astype(np.uint8)
 
@@ -220,15 +232,14 @@ def interpolate_at_zero(points: np.ndarray, values: np.ndarray) -> np.ndarray:
     return np.bitwise_xor.reduce(_MUL.take(_rows(weights) | values), axis=0)
 
 
-def stream_widths(params: shamir.SchemeParams) -> tuple[int, ...]:
-    """Words per block that each seed gives."""
-    if params.dual_seed:
-        return params.m, params.n + shamir.EXTRA_WORDS
-    return (params.words_per_block,)
+def stream_widths(params: "SchemeParams") -> tuple[int, ...]:
+    """Words per block from each seed: m mask words, then n point and EXTRA_WORDS field words."""
+    widths = params.m, params.n + EXTRA_WORDS
+    return widths if params.dual_seed else (sum(widths),)
 
 
 def keystream_blocks(
-    params: shamir.SchemeParams, stream: RrsgStream, block_start: int, nblocks: int, npoints=None
+    params: "SchemeParams", stream: RrsgStream, block_start: int, nblocks: int, npoints=None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Masks (m, B), points (npoints, B; n by default) and field indices (B,) of a block run.
 
@@ -244,7 +255,7 @@ def keystream_blocks(
     return words[:, :m].T.copy(), points, field_indices(words[:, m + n :], params.field_policy)
 
 
-def chunks(params: shamir.SchemeParams, block_start: int, nblocks: int):
+def chunks(params: "SchemeParams", block_start: int, nblocks: int):
     """(start, count) of each chunk of blocks block_start.. of an nblocks run.
 
     A chunk is max(1, _CHUNK_WORDS // words_per_block) blocks, the last
@@ -257,7 +268,7 @@ def chunks(params: shamir.SchemeParams, block_start: int, nblocks: int):
 
 def split_payloads(
     padded: bytes,
-    params: shamir.SchemeParams,
+    params: "SchemeParams",
     stream: RrsgStream,
     block_start: int,
 ) -> list[bytes]:
@@ -271,7 +282,7 @@ def split_payloads(
 def recover_padded(
     payloads: list,
     indices: list[int],
-    params: shamir.SchemeParams,
+    params: "SchemeParams",
     stream: RrsgStream,
     block_start: int,
 ) -> np.ndarray:

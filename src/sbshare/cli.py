@@ -101,7 +101,10 @@ def _build_parser() -> _Parser:
     )
     p_split.add_argument(
         "--fixed-field",
-        action="store_true",
+        dest="field_policy",
+        action="store_const",
+        const=FieldPolicy.FIXED_CANONICAL,
+        default=FieldPolicy.RANDOM_PER_BLOCK,
         help="use canonical field 0 for every block instead of a random field",
     )
 
@@ -152,15 +155,7 @@ def _atomic_outputs(paths: list[Path]):
 
 
 def _cmd_split(args) -> int:
-    params = SchemeParams(
-        n=args.n,
-        m=args.m,
-        field_policy=(
-            FieldPolicy.FIXED_CANONICAL if args.fixed_field else FieldPolicy.RANDOM_PER_BLOCK
-        ),
-        dual_seed=args.dual_seed,
-        algorithm=_ALGORITHMS[args.rrsg],
-    )
+    params = SchemeParams(args.n, args.m, args.field_policy, args.dual_seed, _ALGORITHMS[args.rrsg])
     if params.algorithm == Algorithm.TEST_LCG:
         print(_LCG_WARNING, file=sys.stderr)
     out_dir = args.output_dir if args.output_dir is not None else args.input.parent

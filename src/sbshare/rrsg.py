@@ -177,17 +177,13 @@ _LCG_BATCH = 4096
 
 
 def _lcg_jump(state: int, steps: int) -> int:
-    """State after applying the recurrence `steps` times, in O(log steps)."""
-    a, c = _LCG_MUL, _LCG_INC
-    a_acc, c_acc = 1, 0
-    while steps:
-        if steps & 1:
-            a_acc = a_acc * a & _MASK64
-            c_acc = (c_acc * a + c) & _MASK64
-        c = c * (a + 1) & _MASK64
-        a = a * a & _MASK64
-        steps >>= 1
-    return (state * a_acc + c_acc) & _MASK64
+    """State after k = steps steps of the recurrence: a^k s + c (a^k - 1) / (a - 1), mod 2^64.
+
+    a^k is taken mod (a - 1) 2^64, so the division is exact, as
+    a^k = 1 mod (a - 1), and its quotient right mod 2^64.
+    """
+    power = pow(_LCG_MUL, steps, (_LCG_MUL - 1) << 64)
+    return (state * power + _LCG_INC * ((power - 1) // (_LCG_MUL - 1))) & _MASK64
 
 
 # s_{k+i+1} = _LCG_A[i] * s_k + _LCG_C[i] (mod 2^64), with _LCG_A[i] = a^(i+1)

@@ -2,9 +2,8 @@
 
 SchemeParams fixes a split: n shares, threshold m, how each block's
 working field is chosen, whether one seed or two drive the keystream,
-and which algorithm generates it.  Each block consumes m + n +
-EXTRA_WORDS keystream words; _engine.keystream_blocks lays them out,
-and the per-block transform they drive lives in _engine.
+and which algorithm generates it.  _engine states the keystream words
+each block consumes (stream_widths) and the transform they drive.
 
 split_key and recover_key share the keystream seeds themselves with
 classic per-byte Shamir over the canonical field, run by the same
@@ -17,24 +16,13 @@ a recovery set's pairs.
 import operator
 import secrets
 from dataclasses import dataclass
-from enum import IntEnum
 from typing import Sequence
 
 import numpy as np
 
 from . import _engine
+from ._engine import FieldPolicy
 from .rrsg import Algorithm
-
-#: Field-selection words drawn per block, after its m mask words and
-#: n point words.
-EXTRA_WORDS = 4
-
-
-class FieldPolicy(IntEnum):
-    """How the working field is chosen for each block."""
-
-    RANDOM_PER_BLOCK = 0
-    FIXED_CANONICAL = 1
 
 
 @dataclass(frozen=True)
@@ -62,7 +50,7 @@ class SchemeParams:
 
     @property
     def words_per_block(self) -> int:
-        return self.m + self.n + EXTRA_WORDS
+        return sum(_engine.stream_widths(self))
 
 
 def split_key(key: bytes, params: SchemeParams) -> list[bytes]:

@@ -21,9 +21,10 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from sbshare._engine import EXTRA_WORDS
 from sbshare.rrsg import SEED_LEN, Algorithm, Seed, new_stream
 from sbshare.scheme import Share
-from sbshare.shamir import EXTRA_WORDS, FieldPolicy, SchemeParams
+from sbshare.shamir import FieldPolicy, SchemeParams
 
 
 class BlockRandomness(NamedTuple):

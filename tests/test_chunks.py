@@ -3,8 +3,10 @@
 Every split and recovery, in the library and in the CLI, runs one chunk
 walk per direction over _engine.chunks, which cuts a run into chunks of
 max(1, _CHUNK_WORDS // words_per_block) blocks.  Here _CHUNK_WORDS is
-shrunk so a chunk holds CHUNK blocks, and messages of k * CHUNK - 1,
-k * CHUNK and k * CHUNK + 1 blocks run through the library and the CLI.
+shrunk so a chunk holds CHUNK blocks, and messages of K * CHUNK - 1,
+K * CHUNK and K * CHUNK + 1 blocks run through the library and the CLI,
+as does one of K * CHUNK * m bytes, whose last chunk is its padding
+block alone.
 Every share payload, combine and range read must equal the scalar
 reference pipelines of tests/helpers.py, which know nothing of chunks.
 The library also runs over shares left in their files by open_share.
@@ -31,6 +33,16 @@ PARAMS = [
     SchemeParams(n=5, m=3, dual_seed=True),
     SchemeParams(n=6, m=2, field_policy=FieldPolicy.FIXED_CANONICAL, dual_seed=True),
 ]
+
+
+# (blocks once padded, whether the message fills all but its padding block)
+SIZES = [pytest.param(b, False, id=str(b)) for b in (K * CHUNK - 1, K * CHUNK, K * CHUNK + 1)]
+SIZES.append(pytest.param(K * CHUNK + 1, True, id=f"{K * CHUNK + 1}-padding-only"))
+
+
+def message_of(nblocks, whole, m):
+    """Random bytes that pad to nblocks blocks: whole ones, or m - 1 bytes in the last."""
+    return secrets.token_bytes(nblocks * m - (m if whole else 1))
 
 
 @pytest.fixture
@@ -79,10 +91,10 @@ def subset_of(shares, m):
 
 
 @pytest.mark.parametrize("params", PARAMS, ids=["single", "dual", "dual-fixed"])
-@pytest.mark.parametrize("nblocks", [K * CHUNK - 1, K * CHUNK, K * CHUNK + 1])
-def test_library_matches_oracle(small_chunks, params, nblocks):
+@pytest.mark.parametrize("nblocks,whole", SIZES)
+def test_library_matches_oracle(small_chunks, params, nblocks, whole):
     small_chunks(params)
-    message = secrets.token_bytes(nblocks * params.m - 1)
+    message = message_of(nblocks, whole, params.m)
     padded = pad(message, params.m)
     shares = split(message, params)
     assert shares[0].block_count == nblocks
@@ -98,11 +110,11 @@ def test_library_matches_oracle(small_chunks, params, nblocks):
 
 
 @pytest.mark.parametrize("params", PARAMS, ids=["single", "dual", "dual-fixed"])
-@pytest.mark.parametrize("nblocks", [K * CHUNK - 1, K * CHUNK, K * CHUNK + 1])
-def test_library_over_files_matches_oracle(small_chunks, tmp_path, params, nblocks):
+@pytest.mark.parametrize("nblocks,whole", SIZES)
+def test_library_over_files_matches_oracle(small_chunks, tmp_path, params, nblocks, whole):
     small_chunks(params)
     m = params.m
-    message = secrets.token_bytes(nblocks * m - 1)
+    message = message_of(nblocks, whole, m)
     subset = subset_of(split(message, params), m)
     padded = helpers.reference_padded(subset)
     with ExitStack() as stack:
@@ -113,12 +125,12 @@ def test_library_over_files_matches_oracle(small_chunks, tmp_path, params, nbloc
 
 
 @pytest.mark.parametrize("params", PARAMS, ids=["single", "dual", "dual-fixed"])
-@pytest.mark.parametrize("nblocks", [K * CHUNK - 1, K * CHUNK, K * CHUNK + 1])
-def test_cli_matches_oracle(small_chunks, tmp_path, params, nblocks):
+@pytest.mark.parametrize("nblocks,whole", SIZES)
+def test_cli_matches_oracle(small_chunks, tmp_path, params, nblocks, whole):
     small_chunks(params)
     m = params.m
     source = tmp_path / "message.bin"
-    message = secrets.token_bytes(nblocks * m - 1)
+    message = message_of(nblocks, whole, m)
     source.write_bytes(message)
     flags = ["--dual-seed"] * params.dual_seed
     flags += ["--fixed-field"] * (params.field_policy == FieldPolicy.FIXED_CANONICAL)

@@ -393,6 +393,24 @@ class TestLcg:
         count = 3 * 4096 + 5
         assert stream.read(count) == lcg_oracle(seed, offset + count)[offset:]
 
+    @pytest.mark.parametrize("state", [0, 1, 0x0123456789ABCDEF, (1 << 64) - 1])
+    def test_jump_is_k_steps_of_the_recurrence(self, state):
+        # a read's first state comes from _lcg_jump alone, in closed form
+        s = state
+        for k in range(5001):
+            assert rrsg._lcg_jump(state, k) == s, k
+            s = (s * 6364136223846793005 + 1442695040888963407) % (1 << 64)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=(1 << 64) - 1),
+        st.integers(min_value=0, max_value=1 << 64),
+        st.integers(min_value=0, max_value=1 << 64),
+    )
+    def test_jumps_compose(self, state, a, b):
+        # seeks far past any read the recurrence tests can replay
+        assert rrsg._lcg_jump(rrsg._lcg_jump(state, a), b) == rrsg._lcg_jump(state, a + b)
+
     def test_only_first_eight_key_bytes_matter(self):
         # The recurrence is seeded from key[:8] alone by definition.
         a = new_stream(Seed(b"\x07" * KEY_LEN, b"\x00" * NONCE_LEN), Algorithm.TEST_LCG)

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from sbshare._engine import _SLICE_WORDS
+from sbshare._engine import _SLICE_WORDS, EXTRA_WORDS
 from sbshare.rrsg import Algorithm
 from sbshare.scheme import (
     PaddingError,
@@ -23,7 +23,7 @@ from sbshare.scheme import (
     split,
     unpad,
 )
-from sbshare.shamir import EXTRA_WORDS, FieldPolicy, SchemeParams
+from sbshare.shamir import FieldPolicy, SchemeParams
 from sbshare.share_format import encode_share
 
 ALL_MODES = [
