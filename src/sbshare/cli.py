@@ -2,16 +2,19 @@
 
 Exit codes: 0 success, 1 usage, 2 I/O or malformed share file,
 3 invalid parameters, 4 insufficient or inconsistent shares,
-5 padding failure on recovery.
+5 padding failure on recovery.  A closed stdout is not an error.
 
 Share data moves through files only; nothing secret is written to
 stdout or stderr.  split and combine stream their files a chunk at a
 time, so their memory does not grow with the file, and write every
-output under a temporary name beside its target, renamed into place only
-once all outputs are complete; on any error the temporaries are removed.
-split writes each share's header through share_format.encode_header;
-combine and inspect read shares through open_share, payloads left in
-their files.
+output under a temporary name beside its target; on any error the
+temporaries are removed.  Once written, combine renames its output over
+its target; split unlinks each share its set replaces, then renames the
+new ones onto free names: a cut split leaves old or new shares, never
+both, and leaves shares it does not write (msg.7.sbs1 from a larger n).
+Nothing is fsynced, so a power loss may leave an empty share (exit 2).
+split writes headers with share_format.encode_header; combine and
+inspect read shares through open_share, payloads left in their files.
 """
 
 import argparse
@@ -30,8 +33,7 @@ from .scheme import PaddingError, ShareSetError, padded_blocks, recover_stream, 
 from .shamir import FieldPolicy, SchemeParams
 from .share_format import FormatError, encode_header, open_share
 
-# The CLI streams files and calls none of the whole-message functions,
-# but benchmarks/tracing.py wraps them under these names as well.
+# never called here, but benchmarks/tracing.py wraps them under these names
 from .scheme import combine, recover_range, split  # noqa: F401
 from .share_format import decode_share, encode_share  # noqa: F401
 
@@ -130,11 +132,11 @@ def _build_parser() -> _Parser:
 
 @contextmanager
 def _atomic_outputs(paths: list[Path]):
-    """Files to write for paths, renamed to them only if the block completes.
+    """Files to write for paths, committed to them only if the block completes.
 
-    Each file is written under a temporary name in its target's
-    directory; on any error every temporary is removed and no target is
-    touched.
+    On any error every temporary is removed.  One output is renamed over
+    its target.  In a set no new file may land beside an old one, so every
+    target is unlinked first and the temporaries are renamed onto free names.
     """
     temps: list[tuple[BinaryIO, Path]] = []
     try:
@@ -144,6 +146,9 @@ def _atomic_outputs(paths: list[Path]):
         yield [file for file, _ in temps]
         for file, _ in temps:
             file.close()
+        for path in paths if len(paths) > 1 else ():
+            with suppress(FileNotFoundError):
+                os.unlink(path)
         for (_, temp), path in zip(temps, paths):
             os.replace(temp, path)
     except BaseException:
@@ -223,7 +228,12 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        status = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # a closed stdout shows here, not in the interpreter's last flush
+        return status
+    except BrokenPipeError:  # stdout's reader has gone; every output is already committed
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except OSError as exc:
         print(f"sbshare: {exc}", file=sys.stderr)
         return EXIT_IO

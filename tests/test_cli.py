@@ -21,7 +21,7 @@ from sbshare.cli import (
     EXIT_USAGE,
     main,
 )
-from sbshare.scheme import pad, split
+from sbshare.scheme import pad, padded_blocks, split
 from sbshare.shamir import SchemeParams
 from sbshare.share_format import HEADER_LEN, encode_header
 
@@ -405,6 +405,178 @@ class TestAtomicOutput:
         monkeypatch.setattr(_engine, "_CHUNK_WORDS", 12 * 10)
         assert main(["combine", *map(str, paths), "-o", str(out_file)]) == EXIT_PADDING
         assert listing(tmp_path) == before
+
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+# a child that runs main and leaves by os._exit(7), before the step is
+# taken, at the k-th step of a commit: the unlinks of targets, then the
+# renames (the temporaries' clean-up is no step)
+EXIT_AT_STEP = """
+import os, sys
+from sbshare import cli
+k, steps = int(sys.argv[1]), []
+def exiting(real, counted):
+    def step(*args, **kwargs):
+        if counted(*args):
+            steps.append(args)
+            if len(steps) == k:
+                os._exit(7)
+        return real(*args, **kwargs)
+    return step
+os.unlink = exiting(os.unlink, lambda path: not str(path).endswith(".tmp"))
+os.replace = exiting(os.replace, lambda *args: True)
+sys.exit(cli.main(sys.argv[2:]))
+"""
+
+
+def failing_at(real, k, counted):
+    """real, but its k-th call whose arguments counted accepts raises OSError."""
+    calls = []
+
+    def fake(*args, **kwargs):
+        if counted(*args):
+            calls.append(args)
+            if len(calls) == k:
+                raise OSError(f"injected failure at call {k}")
+        return real(*args, **kwargs)
+
+    return fake
+
+
+def restore(directory, files):
+    """Make directory hold exactly files, a {name: bytes} listing."""
+    for path in directory.iterdir():
+        path.unlink()
+    for name, data in files.items():
+        (directory / name).write_bytes(data)
+
+
+def old_or_new(directory, old, message, n, m):
+    """(old, new) counts of the stem's shares; fails on a mix of the two sets.
+
+    A share is old if it is byte-equal to the old set's file of its name.
+    New shares must be shares of message at (n, m), and m or more of them
+    must combine to it.
+    """
+    names = sorted(p.name for p in directory.glob("msg.*.sbs1"))
+    olds = [name for name in names if (directory / name).read_bytes() == old.get(name)]
+    news = [decode_share((directory / name).read_bytes()) for name in names if name not in olds]
+    assert not (olds and news), (olds, [share.share_index for share in news])
+    for share in news:
+        assert (share.params.n, share.params.m) == (n, m)
+        assert share.block_count == padded_blocks(len(message), m)
+    if len(news) >= m:
+        assert combine(news) == message
+    return len(olds), len(news)
+
+
+class TestSetCommit:
+    """A split over an older set unlinks that set, then renames its shares onto free names.
+
+    Wherever the commit stops, the stem's shares are the old set (or what
+    is left of it) or new shares only, never a mix of the two.
+    """
+
+    @staticmethod
+    def old_set(tmp_path, n, m):
+        """The old set's files by name, the new message's path and the share directory."""
+        shares = tmp_path / "shares"
+        old_msg, new_msg = tmp_path / "old" / "msg.bin", tmp_path / "new" / "msg.bin"
+        for path, size in ((old_msg, 40 * m), (new_msg, 60 * m + 1)):
+            path.parent.mkdir()
+            path.write_bytes(secrets.token_bytes(size))
+        assert main(["split", str(old_msg), "-n", str(n), "-m", str(m), "-o", str(shares)]) == EXIT_OK
+        return listing(shares), new_msg, shares
+
+    @pytest.mark.parametrize("n, m", [(5, 3), (32, 16)])
+    @pytest.mark.parametrize("step", ["unlink", "replace"])
+    def test_each_failing_step_leaves_old_or_new_shares(self, tmp_path, monkeypatch, capsys, n, m, step):
+        old, new_msg, shares = self.old_set(tmp_path, n, m)
+        argv = ["split", str(new_msg), "-n", str(n), "-m", str(m), "-o", str(shares)]
+        # the commit unlinks targets; the clean-up after a failure unlinks temporaries
+        counted = (lambda path: not str(path).endswith(".tmp")) if step == "unlink" else (lambda *args: True)
+        for k in range(1, n + 1):
+            restore(shares, old)
+            with monkeypatch.context() as patch:
+                patch.setattr(cli.os, step, failing_at(getattr(os, step), k, counted))
+                assert main(argv) == EXIT_IO
+            assert f"injected failure at call {k}" in capsys.readouterr().err
+            assert not [p.name for p in shares.iterdir() if p.name.endswith(".tmp")]
+            counts = old_or_new(shares, old, new_msg.read_bytes(), n, m)
+            assert counts == ((n - k + 1, 0) if step == "unlink" else (0, k - 1))
+        restore(shares, old)
+        assert main(argv) == EXIT_OK
+        assert old_or_new(shares, old, new_msg.read_bytes(), n, m) == (0, n)
+        assert len(list(shares.iterdir())) == n
+
+    @pytest.mark.parametrize(
+        "n, m, steps", [(5, 3, range(1, 12)), (32, 16, (1, 2, 32, 33, 34, 48, 49, 64, 65))]
+    )
+    def test_exit_at_each_commit_step_leaves_old_or_new_shares(self, tmp_path, n, m, steps):
+        # steps 1..n unlink the old set, n+1..2n rename the new shares in;
+        # at 2n+1 the split completes
+        old, new_msg, shares = self.old_set(tmp_path, n, m)
+        argv = ["split", str(new_msg), "-n", str(n), "-m", str(m), "-o", str(shares)]
+        env = {**os.environ, "PYTHONPATH": SRC}
+        for k in steps:
+            restore(shares, old)
+            proc = subprocess.run(
+                [sys.executable, "-c", EXIT_AT_STEP, str(k), *argv],
+                capture_output=True,
+                text=True,
+                env=env,
+                timeout=120,
+            )
+            assert proc.returncode == (7 if k <= 2 * n else EXIT_OK), proc.stderr
+            unlinked, renamed = min(k - 1, n), max(k - 1 - n, 0)
+            assert old_or_new(shares, old, new_msg.read_bytes(), n, m) == (n - unlinked, renamed)
+
+    def test_combine_renames_over_its_output(self, tmp_path, monkeypatch, capsys):
+        # one output is one rename: until it happens the older file stays
+        _, _, shares = self.old_set(tmp_path, 5, 3)
+        out = tmp_path / "out.bin"
+        out.write_bytes(b"an older file")
+        argv = ["combine", *(str(shares / f"msg.{i}.sbs1") for i in (0, 2, 4)), "-o", str(out)]
+        with monkeypatch.context() as patch:
+            patch.setattr(cli.os, "replace", failing_at(os.replace, 1, lambda *args: True))
+            assert main(argv) == EXIT_IO
+        assert "injected failure" in capsys.readouterr().err
+        assert out.read_bytes() == b"an older file"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["new", "old", "out.bin", "shares"]
+        assert main(argv) == EXIT_OK
+        assert out.read_bytes() == (tmp_path / "old" / "msg.bin").read_bytes()
+
+
+class TestClosedStdout:
+    """A reader that leaves early, as in `sbshare inspect s.sbs1 | grep -q ...`, is no error."""
+
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_inspect_and_split_exit_0(self, workspace, unbuffered):
+        tmp_path, source = workspace
+        first = split_fixture(workspace)[0]
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = SRC
+        if unbuffered:  # print itself fails, not the last flush
+            env["PYTHONUNBUFFERED"] = "1"
+        shares = tmp_path / "shares"
+        for argv in (["inspect", str(first)], ["split", str(source), "-n", "5", "-m", "3", "-o", str(shares)]):
+            read_end, write_end = os.pipe()
+            os.close(read_end)
+            try:
+                proc = subprocess.run(
+                    [sys.executable, "-m", "sbshare.cli", *argv],
+                    stdout=write_end,
+                    stderr=subprocess.PIPE,
+                    env=env,
+                    timeout=120,
+                )
+            finally:
+                os.close(write_end)
+            assert (proc.returncode, proc.stderr) == (EXIT_OK, b""), argv[0]
+        written = sorted(shares.iterdir())
+        assert [p.name for p in written] == [f"message.{i}.sbs1" for i in range(5)]
+        assert combine([decode_share(p.read_bytes()) for p in written[::2]]) == source.read_bytes()
 
 
 class TestMemory:
